@@ -2,10 +2,9 @@
 
 Everything here enumerates full spaces outright: the sorted orders, the
 averages an optimal shaper could reach, and strategy validation against those
-orders.  The enumeration is an odometer over lexicographic order followed by a
-stable sort on the (information content, lexicographic) key, written
-independently of the vectorized index inside :mod:`seqshape.shaping` so the
-two can check each other.
+orders.  The (information content, lexicographic) order is the one
+:mod:`seqshape.shaping` builds for the ``exact-sorted`` strategy; the tests
+check it against an independent enumeration.
 """
 from __future__ import annotations
 
@@ -14,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import Sequence, info_from_sorted_counts
+from . import shaping
 from .shaping import (
-    ADAPTIVE_RANK,
+    DEFAULT_MAX_SPACE,
     EXACT_SORTED,
     ShaperConfig,
-    SpaceTooLargeError,
     inverse_transform,
     transform,
 )
@@ -87,88 +85,46 @@ class ValidationReport:
         )
 
 
-def space_descriptor(ns: int, length: int, max_space: int = 1 << 24) -> SpaceDescriptor:
+def space_descriptor(ns: int, length: int, max_space: int = DEFAULT_MAX_SPACE) -> SpaceDescriptor:
     if ns < 2:
         raise ValueError(f"alphabet size must be >= 2, got {ns}")
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    size = ns**length
-    if size > max_space:
-        raise SpaceTooLargeError(
-            f"{ns}^{length} = {size} sequences exceed the enumeration bound {max_space}"
-        )
-    return SpaceDescriptor(ns=ns, length=length, size=size)
+    return SpaceDescriptor(ns=ns, length=length, size=shaping._check_space(ns, length, max_space))
 
 
-def _enumerate_lex(ns: int, length: int):
-    """Yield every sequence tuple in lexicographic order (odometer walk)."""
-    current = [0] * length
-    while True:
-        yield tuple(current)
-        pos = length - 1
-        while pos >= 0 and current[pos] == ns - 1:
-            current[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
-        current[pos] += 1
+def _tuples(lex: np.ndarray, ns: int, length: int) -> list[tuple[int, ...]]:
+    return [tuple(row) for row in shaping._digits_from_lex(lex[:, None], ns, length).tolist()]
 
 
-def _infos_lex(ns: int, length: int) -> list[float]:
-    cache: dict[tuple[int, ...], float] = {}
-    infos = []
-    counts = [0] * ns
-    for seq in _enumerate_lex(ns, length):
-        for a in range(ns):
-            counts[a] = 0
-        for s in seq:
-            counts[s] += 1
-        key = tuple(sorted(counts))
-        value = cache.get(key)
-        if value is None:
-            value = info_from_sorted_counts(key)
-            cache[key] = value
-        infos.append(value)
-    return infos
-
-
-def _sorted_order(ns: int, length: int) -> tuple[list[int], list[float]]:
-    """Lex indices and infos sorted by (info, lex); sort stability keeps lex ties."""
-    infos = _infos_lex(ns, length)
-    order = sorted(range(len(infos)), key=infos.__getitem__)
-    return order, [infos[i] for i in order]
-
-
-def _tuple_from_lex(lex: int, ns: int, length: int) -> tuple[int, ...]:
-    out = [0] * length
-    for pos in range(length - 1, -1, -1):
-        out[pos] = lex % ns
-        lex //= ns
-    return tuple(out)
-
-
-def sorted_space(ns: int, length: int, max_space: int = 1 << 24) -> list[tuple[int, ...]]:
+def sorted_space(ns: int, length: int, max_space: int = DEFAULT_MAX_SPACE) -> list[tuple[int, ...]]:
     """All length-``length`` sequences, cheapest information content first.
 
     Ties in information content keep lexicographic order, so the result is a
     deterministic permutation of the full enumeration.
     """
     space_descriptor(ns, length, max_space)
-    order, _ = _sorted_order(ns, length)
-    return [_tuple_from_lex(i, ns, length) for i in order]
+    order, _ = shaping._space_order(ns, length)
+    return _tuples(order, ns, length)
 
 
-def oracle_report(ns: int, n: int, k: int, max_space: int = 1 << 24) -> OracleReport:
-    """Exact optimal-shaping statistics for A^n -> A^(n+k) by full enumeration."""
+def oracle_report(ns: int, n: int, k: int, max_space: int = DEFAULT_MAX_SPACE) -> OracleReport:
+    """Exact optimal-shaping statistics for A^n -> A^(n+k) by full enumeration.
+
+    Only the sorted information contents matter, not which sequence holds
+    each one, so a plain sort of the per-sequence values stands in for the
+    (info, lex) order; ``math.fsum`` makes the averages independent of the
+    summation order.
+    """
     if k < 1:
         raise ValueError(f"shaping order must be >= 1, got {k}")
     space_descriptor(ns, n + k, max_space)
     size = ns**n
-    _, src_infos = _sorted_order(ns, n)
-    _, tgt_infos = _sorted_order(ns, n + k)
-    avg_source = math.fsum(src_infos) / size
-    avg_shaped = math.fsum(tgt_infos[:size]) / size
-    successes = sum(1 for r in range(size) if tgt_infos[r] < src_infos[r])
+    src_infos = np.sort(shaping._info_by_lex_index(ns, n))
+    tgt_infos = np.sort(shaping._info_by_lex_index(ns, n + k))[:size]
+    avg_source = math.fsum(src_infos.tolist()) / size
+    avg_shaped = math.fsum(tgt_infos.tolist()) / size
+    successes = int(np.count_nonzero(tgt_infos < src_infos))
     return OracleReport(
         ns=ns,
         n=n,
@@ -180,7 +136,7 @@ def oracle_report(ns: int, n: int, k: int, max_space: int = 1 << 24) -> OracleRe
     )
 
 
-def validate_strategy(cfg: ShaperConfig, ns: int, n: int, max_space: int = 1 << 24) -> ValidationReport:
+def validate_strategy(cfg: ShaperConfig, ns: int, n: int, max_space: int = DEFAULT_MAX_SPACE) -> ValidationReport:
     """Drive one strategy over every sequence of A^n and check its contract.
 
     Verifies the round trip and pairwise-distinct images for any strategy;
@@ -199,8 +155,9 @@ def validate_strategy(cfg: ShaperConfig, ns: int, n: int, max_space: int = 1 << 
     counterexample = None
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     images = []
-    for seq_tuple in _enumerate_lex(ns, n):
-        seq = Sequence(symbols=np.asarray(seq_tuple, dtype=np.int64), ns=ns)
+    for lex in range(desc.size):
+        seq = shaping._seq_from_lex_index(lex, ns, n)
+        seq_tuple = tuple(seq.symbols.tolist())
         image = transform(seq, cfg)
         image_tuple = tuple(image.symbols.tolist())
         recovered = inverse_transform(image, cfg)
@@ -222,11 +179,12 @@ def validate_strategy(cfg: ShaperConfig, ns: int, n: int, max_space: int = 1 << 
 
     image_matches = None
     if cfg.strategy == EXACT_SORTED and counterexample is None:
-        expected = sorted_space(ns, n + cfg.k, max_space)[: desc.size]
-        image_matches = set(images) == set(expected)
+        order, _ = shaping._space_order(ns, n + cfg.k)
+        expected = set(_tuples(order[: desc.size], ns, n + cfg.k))
+        image_matches = set(images) == expected
         if not image_matches:
-            missing = sorted(set(expected) - set(images))[:1]
-            extra = sorted(set(images) - set(expected))[:1]
+            missing = sorted(expected - set(images))[:1]
+            extra = sorted(set(images) - expected)[:1]
             counterexample = (
                 f"image set differs from sorted prefix: missing {missing}, unexpected {extra}"
             )

@@ -111,25 +111,25 @@ def inverse_adaptive(seq: Sequence, k: int = 1) -> Sequence:
     """Recover the pre-image of an adaptive-rank shaped sequence.
 
     Raises :class:`NotInImageError` when ``seq`` was not produced by
-    :func:`transform_adaptive` with this ``k``; the leading digits betray any
-    such sequence immediately.
+    :func:`transform_adaptive` with this ``k``, before any decoding work.
     """
-    _check_k(k)
-    if len(seq) <= k:
-        raise ValueError(f"shaped sequence must be longer than k={k}, got length {len(seq)}")
-    digits = to_digits(seq)
-    if np.any(digits.digits[:k] != 0):
+    if not is_in_image(seq, k):
         raise NotInImageError("not in image")
+    digits = to_digits(seq)
     return from_digits(DigitStream(digits=digits.digits[k:], ns=seq.ns))
 
 
 def is_in_image(seq: Sequence, k: int = 1) -> bool:
-    """Whether ``seq`` is reachable by the adaptive-rank shaping of order ``k``."""
+    """Whether ``seq`` is reachable by the adaptive-rank shaping of order ``k``.
+
+    The image is exactly the sequences that start with ``k`` zeros: while only
+    zeros have been seen, symbol 0 ranks first, so the ``k`` injected zero
+    digits decode to ``k`` zero symbols and any continuation is reachable.
+    """
     _check_k(k)
     if len(seq) <= k:
         raise ValueError(f"shaped sequence must be longer than k={k}, got length {len(seq)}")
-    digits = to_digits(seq)
-    return not bool(np.any(digits.digits[:k] != 0))
+    return not np.any(seq.symbols[:k])
 
 
 def _check_space(ns: int, length: int, max_space: int) -> int:
@@ -145,33 +145,45 @@ def _lex_places(ns: int, length: int) -> np.ndarray:
     return ns ** np.arange(length - 1, -1, -1, dtype=np.int64)
 
 
+def _digits_from_lex(lex, ns: int, length: int) -> np.ndarray:
+    """Symbols of the sequences with lex index ``lex``.
+
+    A lex index reads a sequence as a base-``ns`` number, first symbol most
+    significant.  ``lex`` is one index, giving ``length`` symbols, or a column
+    of indices (shape ``(m, 1)``), giving one row of symbols per index.
+    """
+    return (lex // _lex_places(ns, length)) % ns
+
+
 def _info_by_lex_index(ns: int, length: int) -> np.ndarray:
     """Information content of every length-``length`` sequence, in lex order.
 
     Works in chunks so the (size, length) digit matrix never materializes in
     full; per-type-class values come from the shared canonical scalar so that
-    independently built orderings sort on bit-identical keys.
+    independently built orderings sort on bit-identical keys.  A type class is
+    found by one integer per row: its largest ``min(ns, length)`` sorted
+    counts (the rest are 0) read as digits in base ``length + 1``.
     """
     size = ns**length
-    places = _lex_places(ns, length)
+    width = min(ns, length)
+    key_places = (length + 1) ** np.arange(width - 1, -1, -1, dtype=np.int64)
     info = np.empty(size, dtype=np.float64)
-    cache: dict[tuple[int, ...], float] = {}
+    cache: dict[int, float] = {}
     chunk = 1 << 16
     for start in range(0, size, chunk):
-        idx = np.arange(start, min(start + chunk, size), dtype=np.int64)
-        digits = (idx[:, None] // places[None, :]) % ns
-        counts = np.empty((idx.size, ns), dtype=np.int32)
-        for a in range(ns):
-            counts[:, a] = (digits == a).sum(axis=1)
+        digits = _digits_from_lex(np.arange(start, min(start + chunk, size))[:, None], ns, length)
+        rows = digits.shape[0]
+        digits += ns * np.arange(rows, dtype=np.int64)[:, None]  # one bin per (row, symbol)
+        counts = np.bincount(digits.ravel(), minlength=rows * ns).reshape(rows, ns)
         counts.sort(axis=1)
-        uniq, inverse = np.unique(counts, axis=0, return_inverse=True)
-        values = np.empty(uniq.shape[0], dtype=np.float64)
-        for i, row in enumerate(uniq):
-            key = tuple(int(c) for c in row)
+        keys = counts[:, ns - width :] @ key_places
+        keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        values = np.empty(keys.size, dtype=np.float64)
+        for i, (key, row) in enumerate(zip(keys.tolist(), first.tolist())):
             if key not in cache:
-                cache[key] = info_from_sorted_counts(key)
+                cache[key] = info_from_sorted_counts(tuple(counts[row].tolist()))
             values[i] = cache[key]
-        info[start : start + idx.size] = values[inverse.ravel()]
+        info[start : start + rows] = values[inverse]
     return info
 
 
@@ -197,8 +209,7 @@ def _lex_index(seq: Sequence) -> int:
 
 
 def _seq_from_lex_index(lex: int, ns: int, length: int) -> Sequence:
-    symbols = (lex // _lex_places(ns, length)) % ns
-    return Sequence(symbols=symbols, ns=ns)
+    return Sequence(symbols=_digits_from_lex(lex, ns, length), ns=ns)
 
 
 def transform_exact_sorted(seq: Sequence, k: int = 1, max_space: int = DEFAULT_MAX_SPACE) -> Sequence:

@@ -8,9 +8,11 @@ from seqshape import (
     EXACT_SORTED,
     ShaperConfig,
     SpaceTooLargeError,
+    inverse_adaptive,
     oracle_report,
     sorted_space,
     space_descriptor,
+    transform_adaptive,
     validate_strategy,
 )
 
@@ -24,6 +26,8 @@ ORACLE_3_2_1 = {
     "optimal_gain": -0.5032583347756456,
     "success_fraction": 0.0,
 }
+
+ORACLE_3_4_1_HEX = ("0x1.2117ae51edf64p+2", "0x1.0daecf403c382p+2", "0x1.368df11b1be20p-2", "0x1.097b425ed097bp-1")
 
 
 class TestSortedSpace:
@@ -50,7 +54,7 @@ class TestSortedSpace:
         infos = [entropy_length_product(seq(s, ns)) for s in sorted_space(ns, length)]
         assert all(b >= a - 1e-9 for a, b in zip(infos, infos[1:]))
 
-    @pytest.mark.parametrize("ns,length", [(2, 5), (3, 4), (4, 3), (5, 3)])
+    @pytest.mark.parametrize("ns,length", [(2, 5), (3, 4), (4, 3), (5, 3), (6, 2), (9, 3)])
     def test_matches_reference_enumeration(self, ns, length):
         assert sorted_space(ns, length) == ref_sorted_space(ns, length)[0]
 
@@ -76,6 +80,13 @@ class TestOracleReport:
         assert report.avg_shaped_info == pytest.approx(ORACLE_3_2_1["avg_shaped_info"], abs=1e-9)
         assert report.optimal_gain == pytest.approx(ORACLE_3_2_1["optimal_gain"], abs=1e-9)
         assert report.success_fraction == ORACLE_3_2_1["success_fraction"]
+
+    def test_frozen_bits_three_symbols_length_four(self):
+        # frozen bit for bit: any change in the order, the per-class floats
+        # or the summation shows here
+        report = oracle_report(3, 4, 1)
+        values = (report.avg_source_info, report.avg_shaped_info, report.optimal_gain, report.success_fraction)
+        assert tuple(v.hex() for v in values) == ORACLE_3_4_1_HEX
 
     def test_recorded_sign_is_negative_at_tiny_length(self):
         assert oracle_report(3, 2, 1).optimal_gain < 0
@@ -161,3 +172,15 @@ class TestValidateStrategy:
         report = validate_strategy(ShaperConfig(ns=2), 2, 2)
         assert not report.roundtrip_ok
         assert "round trip failed" in report.counterexample
+
+    def test_image_off_sorted_prefix_is_reported(self, monkeypatch):
+        # a true bijection whose image is not the cheapest slice of the target order
+        monkeypatch.setattr(oracle_mod, "transform", lambda s, cfg: transform_adaptive(s, cfg.k))
+        monkeypatch.setattr(oracle_mod, "inverse_transform", lambda y, cfg: inverse_adaptive(y, cfg.k))
+        report = validate_strategy(ShaperConfig(ns=3, strategy=EXACT_SORTED), 3, 2)
+        assert report.roundtrip_ok and report.images_distinct
+        assert report.image_matches_sorted_prefix is False
+        assert not report.ok
+        assert report.counterexample.startswith("image set differs from sorted prefix")
+        assert "missing [(1, 1, 1)]" in report.counterexample
+        assert "unexpected [(0, 1, 2)]" in report.counterexample

@@ -70,6 +70,17 @@ class TestAdaptiveTransform:
         )
         assert members == ns**n
 
+    @pytest.mark.parametrize("ns", [2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_is_in_image_matches_enumerated_image(self, ns, k):
+        for n in range(1, 8 - k):
+            image = {
+                tuple(transform_adaptive(seq(s, ns), k).symbols.tolist())
+                for s in itertools.product(range(ns), repeat=n)
+            }
+            for y in itertools.product(range(ns), repeat=n + k):
+                assert is_in_image(seq(y, ns), k) == (y in image)
+
     def test_k_validation(self):
         with pytest.raises(ValueError):
             transform_adaptive(seq([0], 2), k=0)
