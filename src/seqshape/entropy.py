@@ -147,9 +147,15 @@ def info_from_sorted_counts(counts: tuple[int, ...]) -> float:
     Every ordering key in this package that compares sequences by information
     content goes through this one scalar expression, so that all members of a
     type class (same count multiset) receive a bit-identical float and
-    independently built orderings agree exactly.
+    independently built orderings agree exactly.  The terms are added left to
+    right from 0.0: builtin ``sum`` of floats is compensated from Python 3.12
+    on, which would give different bits on different interpreters.
     """
     total = sum(counts)
     if total == 0:
         raise ValueError("empty type class")
-    return total * math.log2(total) - sum(c * math.log2(c) for c in counts if c)
+    terms = 0.0
+    for c in counts:
+        if c:
+            terms += c * math.log2(c)
+    return total * math.log2(total) - terms

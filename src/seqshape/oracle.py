@@ -118,6 +118,7 @@ def oracle_report(ns: int, n: int, k: int, max_space: int = DEFAULT_MAX_SPACE) -
     """
     if k < 1:
         raise ValueError(f"shaping order must be >= 1, got {k}")
+    space_descriptor(ns, n, max_space)
     space_descriptor(ns, n + k, max_space)
     size = ns**n
     src_infos = np.sort(shaping._info_by_lex_index(ns, n))
@@ -154,7 +155,6 @@ def validate_strategy(cfg: ShaperConfig, ns: int, n: int, max_space: int = DEFAU
     images_distinct = True
     counterexample = None
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    images = []
     for lex in range(desc.size):
         seq = shaping._seq_from_lex_index(lex, ns, n)
         seq_tuple = tuple(seq.symbols.tolist())
@@ -175,16 +175,15 @@ def validate_strategy(cfg: ShaperConfig, ns: int, n: int, max_space: int = DEFAU
             )
             break
         seen[image_tuple] = seq_tuple
-        images.append(image_tuple)
 
     image_matches = None
     if cfg.strategy == EXACT_SORTED and counterexample is None:
         order, _ = shaping._space_order(ns, n + cfg.k)
         expected = set(_tuples(order[: desc.size], ns, n + cfg.k))
-        image_matches = set(images) == expected
+        image_matches = seen.keys() == expected
         if not image_matches:
-            missing = sorted(expected - set(images))[:1]
-            extra = sorted(set(images) - expected)[:1]
+            missing = sorted(expected - seen.keys())[:1]
+            extra = sorted(seen.keys() - expected)[:1]
             counterexample = (
                 f"image set differs from sorted prefix: missing {missing}, unexpected {extra}"
             )

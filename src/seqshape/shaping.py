@@ -158,31 +158,29 @@ def _digits_from_lex(lex, ns: int, length: int) -> np.ndarray:
 def _info_by_lex_index(ns: int, length: int) -> np.ndarray:
     """Information content of every length-``length`` sequence, in lex order.
 
-    Works in chunks so the (size, length) digit matrix never materializes in
-    full; per-type-class values come from the shared canonical scalar so that
-    independently built orderings sort on bit-identical keys.  A type class is
-    found by one integer per row: its largest ``min(ns, length)`` sorted
-    counts (the rest are 0) read as digits in base ``length + 1``.
+    Each chunk is the ``ns**tail`` sequences sharing one head, contiguous in
+    lex order: the tail digits are decoded once and a chunk writes only its
+    head, so memory does not grow with ``ns``.  A sorted row changes value at
+    a set of positions (a ``length - 1`` bit key); the runs between them are
+    the row's nonzero counts.  Each type class gets its value from the shared
+    canonical scalar once, so independently built orderings sort on
+    bit-identical keys.  Requires ``length >= 1``.
     """
-    size = ns**length
-    width = min(ns, length)
-    key_places = (length + 1) ** np.arange(width - 1, -1, -1, dtype=np.int64)
-    info = np.empty(size, dtype=np.float64)
-    cache: dict[int, float] = {}
-    chunk = 1 << 16
-    for start in range(0, size, chunk):
-        digits = _digits_from_lex(np.arange(start, min(start + chunk, size))[:, None], ns, length)
-        rows = digits.shape[0]
-        digits += ns * np.arange(rows, dtype=np.int64)[:, None]  # one bin per (row, symbol)
-        counts = np.bincount(digits.ravel(), minlength=rows * ns).reshape(rows, ns)
-        counts.sort(axis=1)
-        keys = counts[:, ns - width :] @ key_places
-        keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    tail = max([1] + [t for t in range(1, length + 1) if ns**t <= 1 << 16])
+    head, rows = length - tail, ns**tail
+    digits = np.empty((rows, length), dtype=np.int64)
+    digits[:, head:] = _digits_from_lex(np.arange(rows)[:, None], ns, tail)
+    bits = 1 << np.arange(length - 1, dtype=np.int64)
+    class_info = lru_cache(maxsize=None)(info_from_sorted_counts)
+    info = np.empty(ns**length, dtype=np.float64)
+    for start in range(0, info.size, rows):
+        digits[:, :head] = _digits_from_lex(start // rows, ns, head)
+        ordered = np.sort(digits, axis=1)
+        keys, inverse = np.unique((ordered[:, 1:] != ordered[:, :-1]) @ bits, return_inverse=True)
         values = np.empty(keys.size, dtype=np.float64)
-        for i, (key, row) in enumerate(zip(keys.tolist(), first.tolist())):
-            if key not in cache:
-                cache[key] = info_from_sorted_counts(tuple(counts[row].tolist()))
-            values[i] = cache[key]
+        for i, key in enumerate(keys.tolist()):
+            ends = [j + 1 for j in range(length - 1) if key >> j & 1] + [length]
+            values[i] = class_info(tuple(sorted(b - a for a, b in zip([0, *ends], ends))))
         info[start : start + rows] = values[inverse]
     return info
 

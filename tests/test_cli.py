@@ -72,6 +72,10 @@ class TestOracle:
     def test_space_too_large_exit_2(self, capsys):
         assert main(["oracle", "--ns", "3", "--len", "40", "--k", "1"]) == 2
 
+    def test_empty_source_exit_2(self, capsys):
+        assert main(["oracle", "--ns", "3", "--len", "0"]) == 2
+        assert "length must be >= 1" in capsys.readouterr().err
+
     def test_validation_failure_exit_4(self, capsys, monkeypatch):
         from seqshape import ValidationReport
 

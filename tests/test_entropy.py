@@ -169,3 +169,7 @@ class TestInfoFromSortedCounts:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             info_from_sorted_counts((0, 0))
+
+    def test_bits_do_not_depend_on_python_version(self):
+        # a compensated sum (builtin sum() from Python 3.12) gives ...01p+4
+        assert info_from_sorted_counts((4, 5, 5)).hex() == "0x1.6156c92fafb02p+4"

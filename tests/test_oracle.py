@@ -54,7 +54,9 @@ class TestSortedSpace:
         infos = [entropy_length_product(seq(s, ns)) for s in sorted_space(ns, length)]
         assert all(b >= a - 1e-9 for a, b in zip(infos, infos[1:]))
 
-    @pytest.mark.parametrize("ns,length", [(2, 5), (3, 4), (4, 3), (5, 3), (6, 2), (9, 3)])
+    @pytest.mark.parametrize(
+        "ns,length", [(2, 5), (3, 4), (4, 3), (5, 3), (6, 2), (9, 3), (300, 2), (2, 17)]
+    )
     def test_matches_reference_enumeration(self, ns, length):
         assert sorted_space(ns, length) == ref_sorted_space(ns, length)[0]
 
@@ -123,6 +125,14 @@ class TestOracleReport:
             oracle_report(3, 2, 0)
         with pytest.raises(SpaceTooLargeError):
             oracle_report(3, 40, 1)
+
+    def test_empty_source_rejected_before_building(self, monkeypatch):
+        def no_build(ns, length):
+            raise AssertionError("order built for an empty source")
+
+        monkeypatch.setattr(oracle_mod.shaping, "_info_by_lex_index", no_build)
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            oracle_report(3, 0, 1)
 
 
 class TestValidateStrategy:

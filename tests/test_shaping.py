@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from seqshape import (
     Sequence,
     ShaperConfig,
     SpaceTooLargeError,
+    info_from_sorted_counts,
     inverse_adaptive,
     inverse_exact_sorted,
     inverse_transform,
@@ -22,6 +24,7 @@ from seqshape import (
     transform_adaptive,
     transform_exact_sorted,
 )
+from seqshape import shaping
 
 from conftest import seq
 from reference_impl import ref_exact_sorted_map, ref_inverse_adaptive, ref_transform_adaptive
@@ -197,6 +200,33 @@ class TestExactSortedTransform:
         for s_tuple, y_tuple in expected.items():
             shaped = transform_exact_sorted(seq(s_tuple, ns), k)
             assert tuple(shaped.symbols.tolist()) == y_tuple
+
+
+class TestOrderBuild:
+    def test_memory_does_not_grow_with_alphabet(self):
+        # the output is 90000 floats (0.7 MiB); a per-chunk (rows x ns)
+        # count matrix would take hundreds of MiB here
+        tracemalloc.start()
+        try:
+            shaping._info_by_lex_index(300, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
+
+    @pytest.mark.parametrize("ns,length,classes", [(3, 12, 19), (300, 2, 2)])
+    def test_one_canonical_call_per_type_class(self, monkeypatch, ns, length, classes):
+        # partitions of 12 into at most 3 parts; of 2 into at most 300
+        calls = []
+
+        def counting(counts):
+            calls.append(counts)
+            return info_from_sorted_counts(counts)
+
+        monkeypatch.setattr(shaping, "info_from_sorted_counts", counting)
+        shaping._info_by_lex_index(ns, length)
+        assert len(calls) == classes
+        assert len(set(calls)) == classes
 
 
 class TestDispatchAndConfig:
