@@ -25,12 +25,36 @@ __all__ = [
 ]
 
 
+def _check_integer(value, what: str) -> int:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_ns(ns: int) -> int:
-    if not isinstance(ns, (int, np.integer)) or isinstance(ns, bool):
-        raise TypeError(f"alphabet size must be an integer, got {ns!r}")
+    ns = _check_integer(ns, "alphabet size")
     if ns < 2:
         raise ValueError(f"alphabet size must be >= 2, got {ns}")
-    return int(ns)
+    return ns
+
+
+def _check_symbols(values, ns: int, noun: str) -> tuple[int, np.ndarray]:
+    """Checked ``ns`` and a read-only int64 copy of ``values``.
+
+    ``values`` must be one-dimensional integers in ``[0, ns)``; ``noun``
+    ("symbol", "digit") names one value in the error messages.
+    """
+    ns = _check_ns(ns)
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise TypeError(f"{noun}s must be integers")
+    arr = arr.astype(np.int64)
+    if arr.ndim != 1:
+        raise ValueError(f"{noun}s must be one-dimensional, got shape {arr.shape}")
+    if arr.size and (arr.min() < 0 or arr.max() >= ns):
+        raise ValueError(f"{noun} out of range [0, {ns})")
+    arr.setflags(write=False)
+    return ns, arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,19 +69,7 @@ class Sequence:
     ns: int
 
     def __post_init__(self):
-        ns = _check_ns(self.ns)
-        arr = np.asarray(self.symbols)
-        if arr.dtype == object or not np.issubdtype(arr.dtype, np.integer):
-            if arr.size and not all(isinstance(x, (int, np.integer)) for x in arr.ravel()):
-                raise TypeError("symbols must be integers")
-            arr = arr.astype(np.int64)
-        else:
-            arr = arr.astype(np.int64, copy=True)
-        if arr.ndim != 1:
-            raise ValueError(f"symbols must be one-dimensional, got shape {arr.shape}")
-        if arr.size and (arr.min() < 0 or arr.max() >= ns):
-            raise ValueError(f"symbol out of range [0, {ns})")
-        arr.setflags(write=False)
+        ns, arr = _check_symbols(self.symbols, self.ns, "symbol")
         object.__setattr__(self, "symbols", arr)
         object.__setattr__(self, "ns", ns)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shaping
+from .entropy import _check_ns
 from .shaping import (
     DEFAULT_MAX_SPACE,
     EXACT_SORTED,
@@ -86,8 +87,7 @@ class ValidationReport:
 
 
 def space_descriptor(ns: int, length: int, max_space: int = DEFAULT_MAX_SPACE) -> SpaceDescriptor:
-    if ns < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {ns}")
+    ns = _check_ns(ns)
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     return SpaceDescriptor(ns=ns, length=length, size=shaping._check_space(ns, length, max_space))
@@ -116,8 +116,7 @@ def oracle_report(ns: int, n: int, k: int, max_space: int = DEFAULT_MAX_SPACE) -
     (info, lex) order; ``math.fsum`` makes the averages independent of the
     summation order.
     """
-    if k < 1:
-        raise ValueError(f"shaping order must be >= 1, got {k}")
+    shaping._check_k(k)
     space_descriptor(ns, n, max_space)
     space_descriptor(ns, n + k, max_space)
     size = ns**n

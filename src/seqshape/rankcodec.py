@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import Sequence, _check_ns
+from .entropy import Sequence, _check_integer, _check_ns, _check_symbols
 
 __all__ = [
     "DigitStream",
@@ -37,13 +37,7 @@ class DigitStream:
     ns: int
 
     def __post_init__(self):
-        ns = _check_ns(self.ns)
-        arr = np.asarray(self.digits, dtype=np.int64).copy()
-        if arr.ndim != 1:
-            raise ValueError(f"digits must be one-dimensional, got shape {arr.shape}")
-        if arr.size and (arr.min() < 0 or arr.max() >= ns):
-            raise ValueError(f"digit out of range [0, {ns})")
-        arr.setflags(write=False)
+        ns, arr = _check_symbols(self.digits, self.ns, "digit")
         object.__setattr__(self, "digits", arr)
         object.__setattr__(self, "ns", ns)
 
@@ -90,15 +84,6 @@ class RankState:
         state.comparisons += state.ns
         return state
 
-    def copy(self) -> "RankState":
-        dup = RankState.__new__(RankState)
-        dup.ns = self.ns
-        dup.counts = list(self.counts)
-        dup._order = list(self._order)
-        dup._pos = list(self._pos)
-        dup.comparisons = self.comparisons
-        return dup
-
     def rank_of(self, symbol: int) -> int:
         return self._pos[symbol]
 
@@ -129,11 +114,10 @@ class RankState:
 
 
 def _check_index(value: int, ns: int, what: str) -> int:
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
+    value = _check_integer(value, what)
     if not 0 <= value < ns:
         raise ValueError(f"{what} {value} out of range [0, {ns})")
-    return int(value)
+    return value
 
 
 def rank_of_symbol(state: RankState, symbol: int) -> int:

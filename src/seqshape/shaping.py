@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entropy import Sequence, entropy_length_product, info_from_sorted_counts
+from .entropy import Sequence, _check_integer, _check_ns, entropy_length_product, info_from_sorted_counts
 from .rankcodec import DigitStream, from_digits, to_digits
 
 __all__ = [
@@ -72,10 +72,8 @@ class ShaperConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        if self.ns < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.ns}")
-        if self.k < 1:
-            raise ValueError(f"shaping order must be >= 1, got {self.k}")
+        _check_ns(self.ns)
+        _check_k(self.k)
         if self.max_space < 2:
             raise ValueError("enumeration bound must be >= 2")
 
@@ -92,9 +90,10 @@ class ShapingOutcome:
 
 
 def _check_k(k: int) -> int:
+    k = _check_integer(k, "shaping order")
     if k < 1:
         raise ValueError(f"shaping order must be >= 1, got {k}")
-    return int(k)
+    return k
 
 
 def transform_adaptive(seq: Sequence, k: int = 1) -> Sequence:
@@ -185,7 +184,9 @@ def _info_by_lex_index(ns: int, length: int) -> np.ndarray:
     return info
 
 
-@lru_cache(maxsize=8)
+# every caller uses one (n, n+k) pair at a time; a space at the default
+# bound holds 256 MiB of (order, rank), so keep no more than that pair
+@lru_cache(maxsize=2)
 def _space_order(ns: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     """(order, rank) arrays of the (info, lex) total order on all sequences.
 
@@ -210,6 +211,20 @@ def _seq_from_lex_index(lex: int, ns: int, length: int) -> Sequence:
     return Sequence(symbols=_digits_from_lex(lex, ns, length), ns=ns)
 
 
+def _rerank(seq: Sequence, length: int, max_space: int) -> Sequence:
+    """The length-``length`` sequence at ``seq``'s rank in the (info, lex) order.
+
+    Raises :class:`NotInImageError` when that rank is ``ns**length`` or more.
+    """
+    _check_space(seq.ns, max(len(seq), length), max_space)
+    _, rank = _space_order(seq.ns, len(seq))
+    r = int(rank[_lex_index(seq)])
+    if r >= seq.ns**length:
+        raise NotInImageError("not in image")
+    order, _ = _space_order(seq.ns, length)
+    return _seq_from_lex_index(int(order[r]), seq.ns, length)
+
+
 def transform_exact_sorted(seq: Sequence, k: int = 1, max_space: int = DEFAULT_MAX_SPACE) -> Sequence:
     """Map ``seq`` to the equally-ranked sequence of the length-(N+k) order.
 
@@ -220,11 +235,7 @@ def transform_exact_sorted(seq: Sequence, k: int = 1, max_space: int = DEFAULT_M
     _check_k(k)
     if len(seq) == 0:
         raise ValueError("cannot shape an empty sequence")
-    _check_space(seq.ns, len(seq) + k, max_space)
-    _, rank_src = _space_order(seq.ns, len(seq))
-    order_tgt, _ = _space_order(seq.ns, len(seq) + k)
-    r = int(rank_src[_lex_index(seq)])
-    return _seq_from_lex_index(int(order_tgt[r]), seq.ns, len(seq) + k)
+    return _rerank(seq, len(seq) + k, max_space)
 
 
 def inverse_exact_sorted(seq: Sequence, k: int = 1, max_space: int = DEFAULT_MAX_SPACE) -> Sequence:
@@ -232,14 +243,7 @@ def inverse_exact_sorted(seq: Sequence, k: int = 1, max_space: int = DEFAULT_MAX
     _check_k(k)
     if len(seq) <= k:
         raise ValueError(f"shaped sequence must be longer than k={k}, got length {len(seq)}")
-    n = len(seq) - k
-    _check_space(seq.ns, len(seq), max_space)
-    _, rank_tgt = _space_order(seq.ns, len(seq))
-    r = int(rank_tgt[_lex_index(seq)])
-    if r >= seq.ns**n:
-        raise NotInImageError("not in image")
-    order_src, _ = _space_order(seq.ns, n)
-    return _seq_from_lex_index(int(order_src[r]), seq.ns, n)
+    return _rerank(seq, len(seq) - k, max_space)
 
 
 def transform(seq: Sequence, cfg: ShaperConfig) -> Sequence:

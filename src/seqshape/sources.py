@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import Sequence
+from .entropy import Sequence, _check_ns
 
 __all__ = ["SourceSpec", "probabilities", "trial_rng", "sample"]
 
@@ -28,8 +28,7 @@ class SourceSpec:
     pmax: float
 
     def __post_init__(self):
-        if self.ns < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.ns}")
+        _check_ns(self.ns)
         if self.n < 1:
             raise ValueError(f"sequence length must be >= 1, got {self.n}")
         if not 0.0 < self.pmax < 1.0:

@@ -10,16 +10,20 @@ from hypothesis import strategies as st
 from seqshape import (
     ADAPTIVE_RANK,
     EXACT_SORTED,
+    DigitStream,
     NotInImageError,
     Sequence,
     ShaperConfig,
+    SourceSpec,
     SpaceTooLargeError,
     info_from_sorted_counts,
     inverse_adaptive,
     inverse_exact_sorted,
     inverse_transform,
     is_in_image,
+    oracle_report,
     shape_and_measure,
+    space_descriptor,
     transform,
     transform_adaptive,
     transform_exact_sorted,
@@ -252,6 +256,28 @@ class TestDispatchAndConfig:
             ShaperConfig(ns=3, k=0)
         with pytest.raises(ValueError):
             ShaperConfig(ns=3, max_space=1)
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: DigitStream(digits=[0.7, 1.9, 2.5], ns=3), "digits must be integers"),
+            (lambda: DigitStream(digits=[True, False], ns=2), "digits must be integers"),
+            (lambda: ShaperConfig(ns=2.5), "alphabet size"),
+            (lambda: ShaperConfig(ns=3, k=1.5), "shaping order"),
+            (lambda: SourceSpec(ns=3.5, n=4, pmax=0.5), "alphabet size"),
+            (lambda: space_descriptor(2.5, 3), "alphabet size"),
+            (lambda: oracle_report(3, 2, 1.5), "shaping order"),
+            (lambda: transform_adaptive(seq([0, 1], 2), 1.5), "shaping order"),
+            (lambda: is_in_image(seq([0, 0, 1], 2), 1.5), "shaping order"),
+        ],
+        ids=[
+            "float-digits", "bool-digits", "config-ns", "config-k", "source-ns",
+            "descriptor-ns", "oracle-k", "transform-k", "membership-k",
+        ],
+    )
+    def test_non_integer_inputs_rejected(self, build, message):
+        with pytest.raises(TypeError, match=message):
+            build()
 
 
 class TestShapeAndMeasure:
