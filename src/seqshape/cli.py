@@ -4,7 +4,8 @@ Subcommands: ``run`` (one Monte Carlo experiment), ``sweep`` (the reference
 benchmark grid), ``oracle`` (exact small-space statistics and strategy
 validation), ``transform`` / ``invert`` (shape or unshape one sequence file).
 
-Exit codes: 0 success, 2 invalid input, 3 not in image, 4 round-trip failure.
+Exit codes: 0 success, 2 invalid input, 3 not in image, 4 round-trip failure,
+5 out of memory, 130 interrupted (Ctrl-C).
 """
 from __future__ import annotations
 
@@ -39,6 +40,8 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_NOT_IN_IMAGE = 3
 EXIT_ROUNDTRIP_FAILURE = 4
+EXIT_OUT_OF_MEMORY = 5
+EXIT_INTERRUPTED = 130
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -169,6 +172,12 @@ def main(argv: list[str] | None = None) -> int:
     except (SpaceTooLargeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

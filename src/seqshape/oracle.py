@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shaping
-from .entropy import _check_ns
+from .entropy import _check_integer, _check_ns
 from .shaping import (
     DEFAULT_MAX_SPACE,
     EXACT_SORTED,
@@ -88,6 +88,7 @@ class ValidationReport:
 
 def space_descriptor(ns: int, length: int, max_space: int = DEFAULT_MAX_SPACE) -> SpaceDescriptor:
     ns = _check_ns(ns)
+    length = _check_integer(length, "length")
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     return SpaceDescriptor(ns=ns, length=length, size=shaping._check_space(ns, length, max_space))

@@ -5,7 +5,8 @@ order induced by the running occurrence counts of all *earlier* positions:
 higher count first, ties broken by smaller symbol id, identity order before
 anything has been seen.  The count of the consumed symbol is incremented only
 after the digit is emitted, so encoder and decoder walk through identical
-states and the map is exactly invertible.
+states and the map is exactly invertible.  The order is kept as a sorted list
+of integer keys, so each step is a bisect and at most one list move.
 
 Frequently seen symbols sit at low ranks, so on skewed sources the digit
 stream concentrates near digit 0 while remaining a bijection on the full
@@ -13,6 +14,7 @@ symbol space at every length.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,20 +57,20 @@ class DigitStream:
 class RankState:
     """Running symbol-frequency ranking over an alphabet of ``ns`` symbols.
 
-    Maintains the counts together with the induced order (count descending,
-    smaller id first) so that rank queries in both directions are O(1) and an
-    ``advance`` repositions the incremented symbol by bubbling it over the
-    entries it newly outranks.  ``comparisons`` counts order-key evaluations;
-    the codec performs O(L * ns) of them in the worst case.
+    The order (count descending, smaller id first) is one ascending list of
+    the keys ``symbol - count * ns``: a rank is one ``bisect_left`` and the
+    symbol at a rank is ``key % ns``.  A step lowers the symbol's key by ``ns``
+    and moves it from rank ``p`` up to the rank ``q`` a bisect over ``[0, p)``
+    finds.  ``comparisons`` counts what an upward bubble making that move
+    compares, ``p - q + (q > 0) + 1`` keys, O(L * ns) per pass at worst.
     """
 
-    __slots__ = ("ns", "counts", "_order", "_pos", "comparisons")
+    __slots__ = ("ns", "counts", "_keys", "comparisons")
 
     def __init__(self, ns: int):
         self.ns = _check_ns(ns)
         self.counts = [0] * self.ns
-        self._order = list(range(self.ns))
-        self._pos = list(range(self.ns))
+        self._keys = list(range(self.ns))
         self.comparisons = 0
 
     @classmethod
@@ -77,40 +79,50 @@ class RankState:
         if any(c < 0 for c in counts):
             raise ValueError("counts must be non-negative")
         state.counts = [int(c) for c in counts]
-        state._order = sorted(range(state.ns), key=lambda a: (-state.counts[a], a))
-        state._pos = [0] * state.ns
-        for position, symbol in enumerate(state._order):
-            state._pos[symbol] = position
+        state._keys = sorted(a - c * state.ns for a, c in enumerate(state.counts))
         state.comparisons += state.ns
         return state
 
     def rank_of(self, symbol: int) -> int:
-        return self._pos[symbol]
+        return bisect_left(self._keys, symbol - self.counts[symbol] * self.ns)
 
     def symbol_at(self, rank: int) -> int:
-        return self._order[rank]
+        return self._keys[rank] % self.ns
 
     def advance(self, symbol: int) -> None:
         """Increment ``symbol``'s count and restore the order invariant."""
-        counts = self.counts
-        counts[symbol] += 1
-        new_count = counts[symbol]
-        order, pos = self._order, self._pos
-        p = pos[symbol]
-        comparisons = 0
-        # entries that still outrank `symbol` form a prefix of the order list,
-        # so a single upward bubble lands it in its new position
-        while p > 0:
-            other = order[p - 1]
-            comparisons += 1
-            if counts[other] > new_count or (counts[other] == new_count and other < symbol):
-                break
-            order[p - 1] = symbol
-            order[p] = other
-            pos[other] = p
-            p -= 1
-        pos[symbol] = p
-        self.comparisons += comparisons + 1
+        self._walk([symbol], decode=False)
+
+    def _walk(self, values: list, decode: bool) -> list:
+        """Step past each value: the symbols' ranks, or with ``decode`` the ranks' symbols."""
+        ns, counts, keys = self.ns, self.counts, self._keys
+        out = []
+        append = out.append
+        moved = 0
+        for value in values:
+            if decode:
+                p = value
+                key = keys[p]
+                symbol = key % ns
+                append(symbol)
+            else:
+                symbol = value
+                key = symbol - counts[symbol] * ns
+                p = bisect_left(keys, key)
+                append(p)
+            counts[symbol] += 1
+            key -= ns
+            if p == 0 or keys[p - 1] < key:
+                keys[p] = key
+            else:
+                q = bisect_left(keys, key, 0, p - 1)
+                del keys[p]
+                keys.insert(q, key)
+                moved += p - q + (q > 0) - 1
+        # a step that keeps its rank p costs 1 + (p > 0), a move `moved` more
+        ranks = values if decode else out
+        self.comparisons += 2 * len(ranks) - ranks.count(0) + moved
+        return out
 
 
 def _check_index(value: int, ns: int, what: str) -> int:
@@ -143,13 +155,7 @@ def to_digits(seq: Sequence, state: RankState | None = None) -> DigitStream:
         state = RankState(seq.ns)
     elif state.ns != seq.ns:
         raise ValueError(f"state alphabet {state.ns} != sequence alphabet {seq.ns}")
-    digits = []
-    append = digits.append
-    pos = state._pos
-    advance = state.advance
-    for symbol in seq.symbols.tolist():
-        append(pos[symbol])
-        advance(symbol)
+    digits = state._walk(seq.symbols.tolist(), decode=False)
     return DigitStream(digits=np.asarray(digits, dtype=np.int64), ns=seq.ns)
 
 
@@ -161,12 +167,5 @@ def from_digits(stream: DigitStream, state: RankState | None = None) -> Sequence
         state = RankState(stream.ns)
     elif state.ns != stream.ns:
         raise ValueError(f"state alphabet {state.ns} != stream alphabet {stream.ns}")
-    symbols = []
-    append = symbols.append
-    order = state._order
-    advance = state.advance
-    for digit in stream.digits.tolist():
-        symbol = order[digit]
-        append(symbol)
-        advance(symbol)
+    symbols = state._walk(stream.digits.tolist(), decode=True)
     return Sequence(symbols=np.asarray(symbols, dtype=np.int64), ns=stream.ns)

@@ -50,6 +50,8 @@ STRATEGIES = (ADAPTIVE_RANK, EXACT_SORTED)
 
 # keeps exact-sorted enumeration in the comfortably-interactive range
 DEFAULT_MAX_SPACE = 1 << 24
+# lex indices and their place values are int64
+_MAX_LEX_INDEX = np.iinfo(np.int64).max
 
 
 class NotInImageError(Exception):
@@ -57,7 +59,7 @@ class NotInImageError(Exception):
 
 
 class SpaceTooLargeError(ValueError):
-    """ns^length exceeds the configured enumeration bound."""
+    """ns^length exceeds the configured enumeration bound or the int64 lex indices."""
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,11 @@ def is_in_image(seq: Sequence, k: int = 1) -> bool:
 
 def _check_space(ns: int, length: int, max_space: int) -> int:
     size = ns**length
+    if size - 1 > _MAX_LEX_INDEX:
+        raise SpaceTooLargeError(
+            f"{ns}^{length} sequences: the largest lex index {size - 1} exceeds "
+            f"the int64 lex-index limit {_MAX_LEX_INDEX}"
+        )
     if size > max_space:
         raise SpaceTooLargeError(
             f"{ns}^{length} = {size} sequences exceed the enumeration bound {max_space}"

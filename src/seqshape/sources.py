@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import Sequence, _check_ns
+from .entropy import Sequence, _check_integer, _check_ns
 
 __all__ = ["SourceSpec", "probabilities", "trial_rng", "sample"]
 
@@ -29,7 +29,7 @@ class SourceSpec:
 
     def __post_init__(self):
         _check_ns(self.ns)
-        if self.n < 1:
+        if _check_integer(self.n, "sequence length") < 1:
             raise ValueError(f"sequence length must be >= 1, got {self.n}")
         if not 0.0 < self.pmax < 1.0:
             raise ValueError(f"pmax must lie strictly inside (0, 1), got {self.pmax}")

@@ -74,6 +74,22 @@ def ref_from_digits(digits, ns):
     return tuple(symbols)
 
 
+def ref_bubble_comparisons(seq, ns):
+    """Key comparisons an upward bubble makes while encoding ``seq``.
+
+    Each step lifts the symbol from rank p to rank q: it compares the p - q
+    keys it passes, one more that stops it when q > 0, and one for the step.
+    """
+    counts = [0] * ns
+    total = 0
+    for s in seq:
+        p = _order_of(counts).index(s)
+        counts[s] += 1
+        q = _order_of(counts).index(s)
+        total += p - q + (q > 0) + 1
+    return total
+
+
 def ref_transform_adaptive(seq, ns, k=1):
     return ref_from_digits((0,) * k + ref_to_digits(seq, ns), ns)
 

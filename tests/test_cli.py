@@ -72,6 +72,20 @@ class TestOracle:
     def test_space_too_large_exit_2(self, capsys):
         assert main(["oracle", "--ns", "3", "--len", "40", "--k", "1"]) == 2
 
+    def test_lex_index_overflow_exit_2(self, capsys):
+        assert main(["oracle", "--ns", "2", "--len", "64",
+                     "--max-space", "99999999999999999999999"]) == 2
+        assert "int64 lex-index limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error,code", [(MemoryError, 5), (KeyboardInterrupt, 130)])
+    def test_out_of_memory_and_interrupt_exit_codes(self, capsys, monkeypatch, error, code):
+        def boom(*args, **kwargs):
+            raise error()
+
+        monkeypatch.setattr(cli_mod, "oracle_report", boom)
+        assert main(["oracle", "--ns", "3", "--len", "2"]) == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
     def test_empty_source_exit_2(self, capsys):
         assert main(["oracle", "--ns", "3", "--len", "0"]) == 2
         assert "length must be >= 1" in capsys.readouterr().err

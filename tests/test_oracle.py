@@ -74,6 +74,13 @@ class TestSortedSpace:
         with pytest.raises(ValueError):
             space_descriptor(3, 0)
 
+    def test_lex_index_must_fit_int64_whatever_the_bound(self):
+        unbounded = 10**30
+        assert space_descriptor(2, 63, max_space=unbounded).size == 2**63
+        for ns, length in ((2, 64), (3, 42)):
+            with pytest.raises(SpaceTooLargeError, match="int64 lex-index limit"):
+                space_descriptor(ns, length, max_space=unbounded)
+
 
 class TestOracleReport:
     def test_three_symbols_pairs(self):

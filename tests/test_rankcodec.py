@@ -17,7 +17,7 @@ from seqshape import (
 )
 
 from conftest import seq
-from reference_impl import ref_from_digits, ref_to_digits
+from reference_impl import ref_bubble_comparisons, ref_from_digits, ref_to_digits
 
 
 def stream(digits, ns):
@@ -30,6 +30,32 @@ def random_sequences(max_ns=64, max_len=200):
             st.just(ns), st.lists(st.integers(0, ns - 1), min_size=1, max_size=max_len)
         )
     )
+
+
+@st.composite
+def codec_inputs(draw, max_ns=64, max_len=500, min_len=1):
+    """Uniform, skewed (one favored symbol) or cyclic-ramp symbol lists."""
+    ns = draw(st.integers(2, max_ns))
+    length = draw(st.integers(min_len, max_len))
+    kind = draw(st.sampled_from(["uniform", "skewed", "ramp"]))
+    if kind == "ramp":
+        start = draw(st.integers(0, ns - 1))
+        return ns, [(start + i) % ns for i in range(length)]
+    seed = draw(st.integers(0, 2**32 - 1))
+    pmax = 1.0 / ns if kind == "uniform" else draw(st.floats(0.3, 0.95))
+    return ns, sample(SourceSpec(ns=ns, n=length, pmax=pmax), seed, 0).symbols.tolist()
+
+
+def check_against_reference(symbols, ns):
+    symbols = list(symbols)
+    enc, dec = RankState(ns), RankState(ns)
+    digits = to_digits(seq(symbols, ns), enc).digits.tolist()
+    decoded = from_digits(stream(symbols, ns), dec).symbols.tolist()
+    assert tuple(digits) == ref_to_digits(symbols, ns)
+    assert tuple(decoded) == ref_from_digits(tuple(symbols), ns)
+    assert enc.counts == [symbols.count(a) for a in range(ns)]
+    assert enc.comparisons == ref_bubble_comparisons(symbols, ns)
+    assert dec.comparisons == ref_bubble_comparisons(decoded, ns)
 
 
 class TestRankQueries:
@@ -152,6 +178,45 @@ class TestDigitCodec:
 
             s = Sequence(symbols=rng.integers(0, ns, size=length), ns=ns)
             assert from_digits(to_digits(s)) == s
+
+
+class TestKeyListAgainstReference:
+    @pytest.mark.parametrize("ns", [2, 3, 4])
+    def test_exhaustive_up_to_length_6(self, ns):
+        for length in range(1, 7):
+            for symbols in itertools.product(range(ns), repeat=length):
+                check_against_reference(symbols, ns)
+
+    @given(codec_inputs())
+    def test_long_uniform_skewed_and_ramp_inputs(self, data):
+        check_against_reference(data[1], data[0])
+
+    @given(codec_inputs(max_len=300, min_len=2), st.data())
+    def test_state_consumed_in_place_across_two_calls(self, inputs, data):
+        ns, symbols = inputs
+        cut = data.draw(st.integers(1, len(symbols) - 1))
+        whole, split = RankState(ns), RankState(ns)
+        expected = to_digits(seq(symbols, ns), whole)
+        head = to_digits(seq(symbols[:cut], ns), split)
+        tail = to_digits(seq(symbols[cut:], ns), split)
+        assert head.digits.tolist() + tail.digits.tolist() == expected.digits.tolist()
+        assert (split.counts, split.comparisons) == (whole.counts, whole.comparisons)
+        whole, split = RankState(ns), RankState(ns)
+        from_digits(expected, whole)
+        decoded = from_digits(head, split).symbols.tolist() + from_digits(tail, split).symbols.tolist()
+        assert decoded == symbols
+        assert (split.counts, split.comparisons) == (whole.counts, whole.comparisons)
+
+    @given(codec_inputs(max_len=200))
+    def test_from_counts_answers_like_an_advanced_state(self, data):
+        ns, symbols = data
+        advanced = RankState(ns)
+        for symbol in symbols:
+            advanced.advance(symbol)
+        assert advanced.comparisons == ref_bubble_comparisons(symbols, ns)
+        rebuilt = RankState.from_counts(advanced.counts)
+        assert [rebuilt.rank_of(a) for a in range(ns)] == [advanced.rank_of(a) for a in range(ns)]
+        assert [rebuilt.symbol_at(r) for r in range(ns)] == [advanced.symbol_at(r) for r in range(ns)]
 
 
 class TestDigitConcentration:

@@ -269,10 +269,14 @@ class TestDispatchAndConfig:
             (lambda: oracle_report(3, 2, 1.5), "shaping order"),
             (lambda: transform_adaptive(seq([0, 1], 2), 1.5), "shaping order"),
             (lambda: is_in_image(seq([0, 0, 1], 2), 1.5), "shaping order"),
+            (lambda: space_descriptor(3, 2.5), "length"),
+            (lambda: SourceSpec(ns=3, n=2.5, pmax=0.5), "sequence length"),
+            (lambda: oracle_report(3, 2.5, 1), "length"),
         ],
         ids=[
             "float-digits", "bool-digits", "config-ns", "config-k", "source-ns",
             "descriptor-ns", "oracle-k", "transform-k", "membership-k",
+            "descriptor-length", "source-length", "oracle-length",
         ],
     )
     def test_non_integer_inputs_rejected(self, build, message):
