@@ -1,8 +1,11 @@
-"""Exhaustive ground truth on desk-size spaces.
+"""Exact ground truth on desk-size spaces.
 
-For spaces small enough to enumerate outright, the oracle sorts every
-sequence by information content, computes the averages an optimal shaper
-could reach, and validates the production strategies sequence by sequence.
+For spaces small enough to enumerate outright, ``sorted_space`` sorts every
+sequence by information content and ``validate_strategy`` checks the
+production strategies sequence by sequence.  ``oracle_report`` computes the
+averages an optimal shaper could reach without enumerating: every sequence of
+a type class has the same information content, so it sums one (value, count)
+run per partition of the length.
 """
 from seqshape import EXACT_SORTED, ShaperConfig, oracle_report, sorted_space, validate_strategy
 

@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", default=None)
     sweep.add_argument("--format", choices=("csv", "json"), default="json")
 
-    oracle = sub.add_parser("oracle", help="exact statistics by exhaustive enumeration")
+    oracle = sub.add_parser("oracle", help="exact optimal-shaping statistics from type classes")
     oracle.add_argument("--ns", type=int, required=True)
     oracle.add_argument("--len", type=int, required=True, dest="n")
     oracle.add_argument("--k", type=int, default=1)

@@ -57,6 +57,23 @@ def _check_symbols(values, ns: int, noun: str) -> tuple[int, np.ndarray]:
     return ns, arr
 
 
+def _trusted(cls, values, ns: int):
+    """A ``cls`` (:class:`Sequence` or ``DigitStream``) of ``values``, skipping its checks.
+
+    Only for values the package has just computed itself, all in ``[0, ns)``
+    for an ``ns`` already checked: the rank codec's output, digit streams cut
+    from it, and sequences decoded from a lex index.  ``values`` must be a
+    list or an array no caller holds.  Public construction never comes here
+    and keeps every check.
+    """
+    arr = np.asarray(values, dtype=np.int64)
+    arr.setflags(write=False)
+    obj = object.__new__(cls)
+    object.__setattr__(obj, next(iter(cls.__dataclass_fields__)), arr)
+    object.__setattr__(obj, "ns", ns)
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class Sequence:
     """An immutable sequence of symbols drawn from {0..ns-1}.

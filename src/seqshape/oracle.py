@@ -1,20 +1,27 @@
-"""Exhaustive ground truth for small sequence spaces.
+"""Exact ground truth for small sequence spaces.
 
-Everything here enumerates full spaces outright: the sorted orders, the
-averages an optimal shaper could reach, and strategy validation against those
-orders.  The (information content, lexicographic) order is the one
-:mod:`seqshape.shaping` builds for the ``exact-sorted`` strategy; the tests
-check it against an independent enumeration.
+:func:`sorted_space` and :func:`validate_strategy` enumerate full spaces
+outright: the sorted order, and every sequence of a source space driven
+through a strategy and checked against that order.  :func:`oracle_report`
+enumerates nothing: the averages an optimal shaper could reach follow from
+the type classes of both spaces, one per partition of the length.  The
+(information content, lexicographic) order is the one :mod:`seqshape.shaping`
+builds for the ``exact-sorted`` strategy; the tests check it and the report
+against an independent enumeration.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
 from . import shaping
-from .entropy import _check_integer, _check_ns
+from .entropy import _check_integer, _check_ns, info_from_sorted_counts
 from .shaping import (
     DEFAULT_MAX_SPACE,
     EXACT_SORTED,
@@ -109,23 +116,94 @@ def sorted_space(ns: int, length: int, max_space: int = DEFAULT_MAX_SPACE) -> li
     return _tuples(order, ns, length)
 
 
+def _partitions(total: int, parts: int, largest: int):
+    """The partitions of ``total`` into at most ``parts`` parts of at most ``largest``, parts descending."""
+    if total == 0:
+        yield ()
+        return
+    if parts == 0:
+        return
+    for first in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - first, parts - 1, first):
+            yield (first, *rest)
+
+
+def _info_runs(ns: int, length: int) -> list[tuple[float, int]]:
+    """The sorted information contents of all ``ns**length`` sequences, as (value, count) runs.
+
+    Every sequence of one type class has the same value, so the space is the
+    partitions P of ``length`` into at most ``ns`` parts: P holds
+    ``ns!/((ns-m)! prod mult_j!)`` count vectors (m parts, ``mult_j`` parts
+    equal to j), each with ``length!/prod p_i!`` sequences (Cover 1973,
+    "Enumerative source encoding").  The value comes from the same scalar the
+    (info, lex) order uses, so it is bit-identical to that order's key.
+    """
+    runs: dict[float, int] = {}
+    for part in _partitions(length, ns, length):
+        labelings = math.perm(ns, len(part)) // math.prod(map(math.factorial, Counter(part).values()))
+        sequences = math.factorial(length) // math.prod(map(math.factorial, part))
+        value = info_from_sorted_counts(tuple(sorted(part)))
+        runs[value] = runs.get(value, 0) + labelings * sequences
+    return sorted(runs.items())
+
+
+def _cut(runs: list[tuple[float, int]], size: int) -> list[tuple[float, int]]:
+    """The runs of the ``size`` lowest values."""
+    out = []
+    for value, count in runs:
+        if size <= 0:
+            break
+        out.append((value, min(count, size)))
+        size -= count
+    return out
+
+
+def _average(runs: list[tuple[float, int]], size: int) -> float:
+    """``math.fsum`` of the ``size`` values the runs hold, divided by ``size``.
+
+    The sum is exact, rounded once to a float and then divided in float, as
+    ``math.fsum(values) / size`` does; rounding ``S / size`` in one step
+    would give other bits.
+    """
+    return float(sum(Fraction(value) * count for value, count in runs)) / size
+
+
+def _successes(src: list[tuple[float, int]], tgt: list[tuple[float, int]]) -> int:
+    """The ranks at which the target value is strictly below the source value.
+
+    Both run lists cover the same ranks; between consecutive run ends of
+    either list both values are constant.
+    """
+    src_ends = list(accumulate(count for _, count in src))
+    tgt_ends = list(accumulate(count for _, count in tgt))
+    successes = start = 0
+    for end in sorted({*src_ends, *tgt_ends}):
+        if tgt[bisect_right(tgt_ends, start)][0] < src[bisect_right(src_ends, start)][0]:
+            successes += end - start
+        start = end
+    return successes
+
+
 def oracle_report(ns: int, n: int, k: int, max_space: int = DEFAULT_MAX_SPACE) -> OracleReport:
-    """Exact optimal-shaping statistics for A^n -> A^(n+k) by full enumeration.
+    """Exact optimal-shaping statistics for A^n -> A^(n+k), from type-class runs.
 
     Only the sorted information contents matter, not which sequence holds
-    each one, so a plain sort of the per-sequence values stands in for the
-    (info, lex) order; ``math.fsum`` makes the averages independent of the
-    summation order.
+    each one, and every sequence of a type class has the same content: both
+    spaces are summed as (value, count) runs over the partitions of the
+    length (Cover 1973, "Enumerative source encoding"; the method of types),
+    never enumerated.  Each average is the exact sum of the values, rounded
+    once to a float, divided by ns^n: bit for bit ``math.fsum`` over the
+    sorted per-sequence values divided by ns^n.  Both spaces must still lie
+    within the enumeration bound ``max_space``.
     """
     shaping._check_k(k)
     space_descriptor(ns, n, max_space)
     space_descriptor(ns, n + k, max_space)
     size = ns**n
-    src_infos = np.sort(shaping._info_by_lex_index(ns, n))
-    tgt_infos = np.sort(shaping._info_by_lex_index(ns, n + k))[:size]
-    avg_source = math.fsum(src_infos.tolist()) / size
-    avg_shaped = math.fsum(tgt_infos.tolist()) / size
-    successes = int(np.count_nonzero(tgt_infos < src_infos))
+    src = _info_runs(ns, n)
+    tgt = _cut(_info_runs(ns, n + k), size)
+    avg_source = _average(src, size)
+    avg_shaped = _average(tgt, size)
     return OracleReport(
         ns=ns,
         n=n,
@@ -133,7 +211,7 @@ def oracle_report(ns: int, n: int, k: int, max_space: int = DEFAULT_MAX_SPACE) -
         avg_source_info=avg_source,
         avg_shaped_info=avg_shaped,
         optimal_gain=avg_source - avg_shaped,
-        success_fraction=successes / size,
+        success_fraction=_successes(src, tgt) / size,
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import Sequence, _check_integer, _check_ns, _check_symbols
+from .entropy import Sequence, _check_integer, _check_ns, _check_symbols, _trusted
 
 __all__ = [
     "DigitStream",
@@ -156,7 +156,7 @@ def to_digits(seq: Sequence, state: RankState | None = None) -> DigitStream:
     elif state.ns != seq.ns:
         raise ValueError(f"state alphabet {state.ns} != sequence alphabet {seq.ns}")
     digits = state._walk(seq.symbols.tolist(), decode=False)
-    return DigitStream(digits=np.asarray(digits, dtype=np.int64), ns=seq.ns)
+    return _trusted(DigitStream, digits, seq.ns)
 
 
 def from_digits(stream: DigitStream, state: RankState | None = None) -> Sequence:
@@ -168,4 +168,4 @@ def from_digits(stream: DigitStream, state: RankState | None = None) -> Sequence
     elif state.ns != stream.ns:
         raise ValueError(f"state alphabet {state.ns} != stream alphabet {stream.ns}")
     symbols = state._walk(stream.digits.tolist(), decode=True)
-    return Sequence(symbols=np.asarray(symbols, dtype=np.int64), ns=stream.ns)
+    return _trusted(Sequence, symbols, stream.ns)

@@ -22,7 +22,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .entropy import Sequence, _check_integer, _check_ns, entropy_length_product, info_from_sorted_counts
+from .entropy import (
+    Sequence,
+    _check_integer,
+    _check_ns,
+    _trusted,
+    entropy_length_product,
+    info_from_sorted_counts,
+)
 from .rankcodec import DigitStream, from_digits, to_digits
 
 __all__ = [
@@ -105,7 +112,7 @@ def transform_adaptive(seq: Sequence, k: int = 1) -> Sequence:
         raise ValueError("cannot shape an empty sequence")
     digits = to_digits(seq)
     shaped = np.concatenate([np.zeros(k, dtype=np.int64), digits.digits])
-    return from_digits(DigitStream(digits=shaped, ns=seq.ns))
+    return from_digits(_trusted(DigitStream, shaped, seq.ns))
 
 
 def inverse_adaptive(seq: Sequence, k: int = 1) -> Sequence:
@@ -117,7 +124,7 @@ def inverse_adaptive(seq: Sequence, k: int = 1) -> Sequence:
     if not is_in_image(seq, k):
         raise NotInImageError("not in image")
     digits = to_digits(seq)
-    return from_digits(DigitStream(digits=digits.digits[k:], ns=seq.ns))
+    return from_digits(_trusted(DigitStream, digits.digits[k:], seq.ns))
 
 
 def is_in_image(seq: Sequence, k: int = 1) -> bool:
@@ -215,7 +222,7 @@ def _lex_index(seq: Sequence) -> int:
 
 
 def _seq_from_lex_index(lex: int, ns: int, length: int) -> Sequence:
-    return Sequence(symbols=_digits_from_lex(lex, ns, length), ns=ns)
+    return _trusted(Sequence, _digits_from_lex(lex, ns, length), ns)
 
 
 def _rerank(seq: Sequence, length: int, max_space: int) -> Sequence:

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqshape.oracle as oracle_mod
 from seqshape import (
@@ -10,6 +13,7 @@ from seqshape import (
     SpaceTooLargeError,
     inverse_adaptive,
     oracle_report,
+    shaping,
     sorted_space,
     space_descriptor,
     transform_adaptive,
@@ -28,6 +32,39 @@ ORACLE_3_2_1 = {
 }
 
 ORACLE_3_4_1_HEX = ("0x1.2117ae51edf64p+2", "0x1.0daecf403c382p+2", "0x1.368df11b1be20p-2", "0x1.097b425ed097bp-1")
+
+# float.hex of the same four fields as computed by sorting every sequence's
+# value and summing with math.fsum (the benchmark's small-space pin, and the
+# largest binary space the enumeration bound admits)
+ORACLE_3_11_1_HEX = ("0x1.fbb95f1994866p+3", "0x1.f8bd21b884590p+3", "0x1.7e1eb08816b00p-4", "0x1.f163c76141715p-2")
+ORACLE_2_23_1_HEX = ("0x1.6430e11662d6cp+4", "0x1.6a308ced20207p+4", "-0x1.7feaf5af526c0p-2", "0x1.2205000000000p-3")
+
+
+def report_hex(report):
+    values = (report.avg_source_info, report.avg_shaped_info, report.optimal_gain, report.success_fraction)
+    return tuple(v.hex() for v in values)
+
+
+def enumerated_report_hex(ns, n, k):
+    """The four fields from every sequence's value, sorted and summed with ``math.fsum``."""
+    size = ns**n
+    src = np.sort(shaping._info_by_lex_index(ns, n))
+    tgt = np.sort(shaping._info_by_lex_index(ns, n + k))[:size]
+    avg_source = math.fsum(src.tolist()) / size
+    avg_shaped = math.fsum(tgt.tolist()) / size
+    success = int(np.count_nonzero(tgt < src)) / size
+    return tuple(v.hex() for v in (avg_source, avg_shaped, avg_source - avg_shaped, success))
+
+
+def shapes_within(max_size):
+    """Every (ns, n, k) with ns**(n + k) <= max_size."""
+    return [
+        (ns, n, total - n)
+        for ns in range(2, math.isqrt(max_size) + 1)
+        for total in range(2, max_size.bit_length())
+        if ns**total <= max_size
+        for n in range(1, total)
+    ]
 
 
 class TestSortedSpace:
@@ -132,6 +169,29 @@ class TestOracleReport:
             oracle_report(3, 2, 0)
         with pytest.raises(SpaceTooLargeError):
             oracle_report(3, 40, 1)
+
+    def test_bitwise_equal_to_enumeration_up_to_4096_sequences(self):
+        shapes = shapes_within(4096)
+        assert len(shapes) == 202
+        for ns, n, k in shapes:
+            assert report_hex(oracle_report(ns, n, k)) == enumerated_report_hex(ns, n, k), (ns, n, k)
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(shapes_within(1 << 16)))
+    def test_bitwise_equal_to_enumeration_up_to_65536_sequences(self, shape):
+        ns, n, k = shape
+        assert report_hex(oracle_report(ns, n, k)) == enumerated_report_hex(ns, n, k)
+
+    def test_frozen_bits_benchmark_pin(self):
+        assert report_hex(oracle_report(3, 11, 1)) == ORACLE_3_11_1_HEX
+
+    def test_frozen_bits_without_enumerating(self, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("oracle_report enumerated a space")
+
+        monkeypatch.setattr(shaping, "_info_by_lex_index", no_enumeration)
+        monkeypatch.setattr(shaping, "_space_order", no_enumeration)
+        assert report_hex(oracle_report(2, 23, 1)) == ORACLE_2_23_1_HEX
 
     def test_empty_source_rejected_before_building(self, monkeypatch):
         def no_build(ns, length):

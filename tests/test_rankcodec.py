@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from seqshape import (
     DigitStream,
     RankState,
+    Sequence,
     SourceSpec,
     from_digits,
     rank_of_symbol,
@@ -217,6 +219,42 @@ class TestKeyListAgainstReference:
         rebuilt = RankState.from_counts(advanced.counts)
         assert [rebuilt.rank_of(a) for a in range(ns)] == [advanced.rank_of(a) for a in range(ns)]
         assert [rebuilt.symbol_at(r) for r in range(ns)] == [advanced.symbol_at(r) for r in range(ns)]
+
+
+def assert_as_if_checked(built, public, field):
+    """``built`` equals ``public``, a publicly constructed twin, and stores the same kind of array."""
+    assert type(built) is type(public) and built == public
+    values = getattr(built, field)
+    assert values.dtype == np.int64 and values.ndim == 1 and not values.flags.writeable
+
+
+class TestUncheckedOutputs:
+    """The codec's and the order's outputs skip the construction checks; nothing public does."""
+
+    def test_public_construction_has_no_way_around_the_checks(self):
+        assert list(inspect.signature(Sequence).parameters) == ["symbols", "ns"]
+        assert list(inspect.signature(DigitStream).parameters) == ["digits", "ns"]
+        with pytest.raises(ValueError, match=r"symbol out of range \[0, 3\)"):
+            Sequence(symbols=[0, 3], ns=3)
+        with pytest.raises(ValueError, match=r"digit out of range \[0, 3\)"):
+            DigitStream(digits=[0, 3], ns=3)
+        with pytest.raises(TypeError, match="digits must be integers"):
+            DigitStream(digits=[0.5], ns=3)
+
+    @given(codec_inputs())
+    def test_codec_outputs_equal_checked_construction(self, data):
+        ns, symbols = data
+        digits = to_digits(seq(symbols, ns))
+        assert_as_if_checked(digits, stream(digits.digits.tolist(), ns), "digits")
+        decoded = from_digits(stream(symbols, ns))
+        assert_as_if_checked(decoded, seq(decoded.symbols.tolist(), ns), "symbols")
+
+    @pytest.mark.parametrize("ns,length", [(2, 6), (3, 4), (5, 2)])
+    def test_sequences_from_lex_indices_equal_checked_construction(self, ns, length):
+        from seqshape import shaping
+
+        for lex, symbols in enumerate(itertools.product(range(ns), repeat=length)):
+            assert_as_if_checked(shaping._seq_from_lex_index(lex, ns, length), seq(symbols, ns), "symbols")
 
 
 class TestDigitConcentration:
