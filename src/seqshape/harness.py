@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .entropy import entropy_length_product
+from .entropy import _check_integer, entropy_length_product
 from .shaping import ShaperConfig, inverse_transform, transform
-from .sources import SourceSpec, sample
+from .sources import SourceSpec, _check_master_seed, sample
 
 __all__ = [
     "RoundTripError",
@@ -107,10 +107,13 @@ def run_experiment(
     Aggregation always happens in trial-index order, whatever `workers` is,
     so results are reproducible bit for bit.
     """
+    trials = _check_integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    workers = _check_integer(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    seed = _check_master_seed(seed)
     if spec.ns != cfg.ns:
         raise ValueError(f"source alphabet {spec.ns} != shaper alphabet {cfg.ns}")
 
@@ -144,7 +147,7 @@ def run_experiment(
         spec=spec,
         strategy=cfg.strategy,
         k=cfg.k,
-        seed=int(seed),
+        seed=seed,
     )
     return summary, records
 

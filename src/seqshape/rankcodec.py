@@ -8,6 +8,15 @@ after the digit is emitted, so encoder and decoder walk through identical
 states and the map is exactly invertible.  The order is kept as a sorted list
 of integer keys, so each step is a bisect and at most one list move.
 
+The decoder walks the sequence one step at a time: the symbol at a position
+is only known once every earlier step is done.  The encoder needs no walk, as
+a symbol's rank depends only on the counts of earlier positions, and a
+cumulative sum gives those for every position at once.  A long sequence
+(``_VECTOR_MIN_LENGTH`` symbols or more) over a small alphabet (at most
+``_VECTOR_MAX_NS`` symbols) is encoded that way, in numpy; shorter sequences,
+larger alphabets and counts too large for int64 keys take the scalar walk.
+Both give the same digits and leave the same state.
+
 Frequently seen symbols sit at low ranks, so on skewed sources the digit
 stream concentrates near digit 0 while remaining a bijection on the full
 symbol space at every length.
@@ -29,6 +38,17 @@ __all__ = [
     "to_digits",
     "from_digits",
 ]
+
+# The size rule for the vector encoder: below this length its fixed numpy
+# overhead costs more than the scalar walk, and above this alphabet its
+# O(ns) work per position does (see the crossover table in CHANGES.md).  The
+# alphabet bound also keeps a row's count of keys inside the uint8 sums.
+_VECTOR_MIN_LENGTH = 128
+_VECTOR_MAX_NS = 64
+# positions per key matrix, so memory stays O(ns * block) at any length
+_VECTOR_BLOCK = 2048
+# keys and key - ns stay inside int64 while ns * (max count + length) is below this
+_VECTOR_KEY_LIMIT = 2**62
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +82,9 @@ class RankState:
     symbol at a rank is ``key % ns``.  A step lowers the symbol's key by ``ns``
     and moves it from rank ``p`` up to the rank ``q`` a bisect over ``[0, p)``
     finds.  ``comparisons`` counts what an upward bubble making that move
-    compares, ``p - q + (q > 0) + 1`` keys, O(L * ns) per pass at worst.
+    compares, ``p - q + (q > 0) + 1`` keys, O(L * ns) per pass at worst.  The
+    vector encoder (:meth:`_encode`) makes no moves and adds the same count by
+    formula from its ``p`` and ``q``.
     """
 
     __slots__ = ("ns", "counts", "_keys", "comparisons")
@@ -124,6 +146,45 @@ class RankState:
         self.comparisons += 2 * len(ranks) - ranks.count(0) + moved
         return out
 
+    def _encode(self, symbols: np.ndarray) -> np.ndarray:
+        """The ranks of ``symbols`` stepped past in turn; :meth:`_walk` without the walk.
+
+        Row ``i`` of a block's key matrix holds every symbol's key before
+        position ``i``: the state's keys in row 0, then a cumulative sum of
+        ``-ns`` at ``(i + 1, symbol_i)``.  The digit is ``p_i``, the number of
+        keys in row ``i`` below the symbol's own key ``k_i``; the rank after the
+        step is ``q_i``, the number below ``k_i - ns``.  The walk's upward
+        bubble would compare ``p_i - q_i + (q_i > 0) + 1`` keys at the step.
+        """
+        ns = self.ns
+        step = min(symbols.size, _VECTOR_BLOCK)
+        # one buffer serves every block: with a matrix per block two were alive
+        # at once, and freeing them made the allocator hand the memory back to
+        # the system, to fault it in again on the next call
+        matrix = np.empty((step + 1, ns), dtype=np.int64)
+        matrix[0] = [a - c * ns for a, c in enumerate(self.counts)]
+        digits = np.empty(symbols.size, dtype=np.int64)
+        comparisons = 0
+        for start in range(0, symbols.size, step):
+            block = symbols[start:start + step]
+            size = block.size
+            rows = np.arange(size)
+            keys = matrix[:size + 1]
+            keys[1:] = 0
+            keys.reshape(-1)[block + ns * (rows + 1)] = -ns
+            np.cumsum(keys, axis=0, out=keys)
+            own = keys[rows, block][:, None]
+            p = np.einsum("ij->i", (keys[:size] < own).view(np.uint8))
+            q = np.einsum("ij->i", (keys[:size] < own - ns).view(np.uint8))
+            comparisons += int((p - q).sum()) + int(np.count_nonzero(q)) + size
+            digits[start:start + size] = p
+            matrix[0] = keys[size]
+        keys = matrix[0].tolist()
+        self.counts = [(a - key) // ns for a, key in enumerate(keys)]
+        self._keys = sorted(keys)
+        self.comparisons += comparisons
+        return digits
+
 
 def _check_index(value: int, ns: int, what: str) -> int:
     value = _check_integer(value, what)
@@ -148,14 +209,29 @@ def to_digits(seq: Sequence, state: RankState | None = None) -> DigitStream:
     Each digit is the symbol's rank given the counts of all earlier positions;
     the state advances after every emission.  A caller-supplied ``state`` is
     consumed in place (useful for streaming or for instrumentation).
+
+    A sequence of at least ``_VECTOR_MIN_LENGTH`` symbols over at most
+    ``_VECTOR_MAX_NS`` is encoded in numpy, every rank from one cumulative
+    sum of keys per block of positions, with ``state.comparisons`` advanced
+    by formula; anything else, or a state whose counts would overflow int64
+    keys, takes the scalar walk.  The digits and the final state are the
+    same on either path.
     """
-    if len(seq) == 0:
+    length = len(seq)
+    if length == 0:
         raise ValueError("cannot encode an empty sequence")
     if state is None:
         state = RankState(seq.ns)
     elif state.ns != seq.ns:
         raise ValueError(f"state alphabet {state.ns} != sequence alphabet {seq.ns}")
-    digits = state._walk(seq.symbols.tolist(), decode=False)
+    if (
+        length >= _VECTOR_MIN_LENGTH
+        and state.ns <= _VECTOR_MAX_NS
+        and state.ns * (max(state.counts) + length) < _VECTOR_KEY_LIMIT
+    ):
+        digits = state._encode(seq.symbols)
+    else:
+        digits = state._walk(seq.symbols.tolist(), decode=False)
     return _trusted(DigitStream, digits, seq.ns)
 
 

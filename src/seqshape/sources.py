@@ -43,16 +43,18 @@ def probabilities(spec: SourceSpec) -> np.ndarray:
 
 
 def _check_master_seed(seed: int) -> int:
-    if not 0 <= int(seed) < _MASTER_SEED_MAX:
+    seed = _check_integer(seed, "master seed")
+    if not 0 <= seed < _MASTER_SEED_MAX:
         raise ValueError(f"master seed must be a 64-bit unsigned integer, got {seed}")
-    return int(seed)
+    return seed
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Deterministic PCG64 substream for one (master seed, trial index) pair."""
+    trial = _check_integer(trial, "trial index")
     if trial < 0:
         raise ValueError(f"trial index must be >= 0, got {trial}")
-    return np.random.default_rng(np.random.SeedSequence([_check_master_seed(seed), int(trial)]))
+    return np.random.default_rng(np.random.SeedSequence([_check_master_seed(seed), trial]))
 
 
 def sample(spec: SourceSpec, seed: int, trial: int) -> Sequence:

@@ -223,6 +223,30 @@ def test_criterion_6_harness_fidelity():
     )
 
 
+# sweep_table1(ShaperConfig(ns=30), trials=20, seed=0) as the scalar walk
+# encoded it: per row ns, medinfc, medtinfc and mdife as float.hex, and cs2;
+# any change to the codec or the harness that moves a bit of a record fails here
+FROZEN_TABLE1_ROWS = [
+    (30, "0x1.56044e2f14d0dp+10", "0x1.577aaba4d5aa3p+10", "-0x1.765d75c0d95f3p+2", 0),
+    (40, "0x1.6961f4a7a8907p+10", "0x1.6af4c66f0e282p+10", "-0x1.92d1c765979a6p+2", 0),
+    (50, "0x1.77952602e17bep+10", "0x1.793ef9b3f4d79p+10", "-0x1.a9d3b1135bc40p+2", 0),
+    (60, "0x1.83e131ff4d872p+10", "0x1.859f877316d40p+10", "-0x1.be5573c94ce00p+2", 0),
+]
+
+
+def test_criterion_6_frozen_table1_records():
+    rows = [
+        (s.spec.ns, s.medinfc.hex(), s.medtinfc.hex(), s.mdife.hex(), s.cs2)
+        for s in sweep_table1(ShaperConfig(ns=30), trials=20, seed=0)
+    ]
+    _report(
+        6,
+        "table1 summaries bit-identical to the frozen values",
+        rows == FROZEN_TABLE1_ROWS,
+        "; ".join(f"ns={row[0]} mdife={float.fromhex(row[3]):.6f}" for row in rows),
+    )
+
+
 def test_criterion_7_reference_grid_status():
     cfg = ShaperConfig(ns=2)
     sweep_a = sweep_table1(cfg, trials=1000, seed=101)
@@ -254,24 +278,23 @@ def test_criterion_8_linear_time_scaling():
     for _ in range(3):
         transform_adaptive(small)
 
-    def median_call_time(s, reps):
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            transform_adaptive(s)
-            times.append(time.perf_counter() - t0)
-        return float(np.median(times))
-
+    # the sizes alternate so a slow spell of a shared machine hits both, and the
+    # fastest call of each is the one least disturbed by other work
+    times = ([], [])
     gc.disable()
     try:
-        t_small = median_call_time(small, 21)
-        t_large = median_call_time(large, 7)
+        for _ in range(15):
+            for s, spent in zip((small, large), times):
+                t0 = time.perf_counter()
+                transform_adaptive(s)
+                spent.append(time.perf_counter() - t0)
     finally:
         gc.enable()
+    t_small, t_large = map(min, times)
     ratio = t_large / t_small
     _report(
         8,
         "transform cost scales linearly with length",
         8.0 <= ratio <= 12.0,
-        f"median per-call {t_small*1e3:.2f}ms @4k vs {t_large*1e3:.2f}ms @40k, ratio {ratio:.2f}",
+        f"fastest call {t_small*1e3:.2f}ms @4k vs {t_large*1e3:.2f}ms @40k, ratio {ratio:.2f}",
     )

@@ -116,6 +116,14 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(spec, ShaperConfig(ns=9), 5, 1)
 
+    @pytest.mark.parametrize("bad", [2.5, True])
+    @pytest.mark.parametrize("named", ["trials", "seed", "workers"])
+    def test_counts_and_seed_must_be_integers(self, named, bad):
+        args = {"trials": 3, "seed": 1, "workers": 1, named: bad}
+        spec = SourceSpec(ns=8, n=60, pmax=0.5)
+        with pytest.raises(TypeError, match=f"{named} must be an integer"):
+            run_experiment(spec, ShaperConfig(ns=8), **args)
+
 
 class TestSweep:
     def test_grid_cardinality_and_rows(self):

@@ -17,6 +17,7 @@ from seqshape import (
     symbol_of_rank,
     to_digits,
 )
+from seqshape import rankcodec
 
 from conftest import seq
 from reference_impl import ref_bubble_comparisons, ref_from_digits, ref_to_digits
@@ -219,6 +220,116 @@ class TestKeyListAgainstReference:
         rebuilt = RankState.from_counts(advanced.counts)
         assert [rebuilt.rank_of(a) for a in range(ns)] == [advanced.rank_of(a) for a in range(ns)]
         assert [rebuilt.symbol_at(r) for r in range(ns)] == [advanced.symbol_at(r) for r in range(ns)]
+
+
+MIN_LENGTH = rankcodec._VECTOR_MIN_LENGTH
+MAX_NS = rankcodec._VECTOR_MAX_NS
+BLOCK = rankcodec._VECTOR_BLOCK
+
+
+def skewed(ns, length, seed):
+    return sample(SourceSpec(ns=ns, n=length, pmax=0.5), seed, 0).symbols.tolist()
+
+
+def encode_both(symbols, ns, make_state):
+    """``to_digits`` and the scalar walk from equal start states: (digits, state) each."""
+    fast, slow = make_state(), make_state()
+    digits = to_digits(seq(symbols, ns), fast).digits.tolist()
+    return (digits, fast), (slow._walk(list(symbols), decode=False), slow)
+
+
+def assert_same_state(state, walked):
+    assert (state.counts, state._keys, state.comparisons) == (
+        walked.counts,
+        walked._keys,
+        walked.comparisons,
+    )
+    assert all(type(value) is int for value in state.counts + state._keys)
+
+
+@pytest.fixture
+def vector_calls(monkeypatch):
+    """The lengths ``to_digits`` hands to the vector encoder, in call order."""
+    calls = []
+    encode = RankState._encode
+
+    def spy(state, symbols):
+        calls.append(len(symbols))
+        return encode(state, symbols)
+
+    monkeypatch.setattr(RankState, "_encode", spy)
+    return calls
+
+
+class TestVectorEncoder:
+    """The numpy encoder against the reference and the scalar walk, around every threshold."""
+
+    @pytest.mark.parametrize(
+        "ns,length,vector",
+        [
+            (3, 9, False),
+            (30, 400, True),
+            (60, 401, True),
+            (MAX_NS, MIN_LENGTH, True),
+            (MAX_NS, MIN_LENGTH - 1, False),
+            (MAX_NS + 1, 2 * BLOCK + 1, False),
+        ],
+    )
+    def test_size_rule(self, vector_calls, ns, length, vector):
+        to_digits(seq(skewed(ns, length, 1), ns))
+        assert vector_calls == ([length] if vector else [])
+
+    @pytest.mark.parametrize("ns", [2, 30, MAX_NS, MAX_NS + 1])
+    @pytest.mark.parametrize(
+        "length",
+        [MIN_LENGTH - 1, MIN_LENGTH, MIN_LENGTH + 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1],
+    )
+    def test_matches_reference_and_walk(self, ns, length):
+        symbols = skewed(ns, length, ns * 10_000 + length)
+        (digits, state), (walked, walked_state) = encode_both(symbols, ns, lambda: RankState(ns))
+        assert digits == walked
+        assert tuple(digits) == ref_to_digits(symbols, ns)
+        assert state.comparisons == ref_bubble_comparisons(symbols, ns)
+        assert_same_state(state, walked_state)
+
+    @pytest.mark.parametrize("ns", [2, 30, MAX_NS, MAX_NS + 1])
+    def test_from_counts_start_states(self, ns):
+        counts = np.random.default_rng(ns).integers(0, 40, size=ns).tolist()
+        prefix = [a for a, c in enumerate(counts) for _ in range(c)]
+        symbols = skewed(ns, BLOCK + 1, ns)
+        (digits, state), (walked, walked_state) = encode_both(
+            symbols, ns, lambda: RankState.from_counts(counts)
+        )
+        assert digits == walked
+        assert tuple(digits) == ref_to_digits(prefix + symbols, ns)[len(prefix):]
+        assert_same_state(state, walked_state)
+
+    @pytest.mark.parametrize("ns", [30, MAX_NS + 1])
+    @pytest.mark.parametrize("short_first", [True, False])
+    def test_state_consumed_by_a_short_and_a_long_call(self, ns, short_first):
+        short, long = 5, BLOCK + 1
+        symbols = skewed(ns, short + long, ns)
+        cut = short if short_first else long
+        state, walked_state = RankState(ns), RankState(ns)
+        digits = (
+            to_digits(seq(symbols[:cut], ns), state).digits.tolist()
+            + to_digits(seq(symbols[cut:], ns), state).digits.tolist()
+        )
+        assert digits == walked_state._walk(list(symbols), decode=False)
+        assert tuple(digits) == ref_to_digits(symbols, ns)
+        assert state.comparisons == ref_bubble_comparisons(symbols, ns)
+        assert_same_state(state, walked_state)
+
+    def test_counts_beyond_int64_keys_take_the_walk(self, vector_calls):
+        counts = (2**70, 0, 0)
+        symbols = skewed(3, 2 * MIN_LENGTH, 3)
+        (digits, state), (walked, walked_state) = encode_both(
+            symbols, 3, lambda: RankState.from_counts(counts)
+        )
+        assert vector_calls == []
+        assert digits == walked
+        assert_same_state(state, walked_state)
+        assert state.counts[0] == 2**70 + symbols.count(0)
 
 
 def assert_as_if_checked(built, public, field):

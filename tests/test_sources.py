@@ -88,6 +88,16 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample(spec, 0, -1)
 
+    @pytest.mark.parametrize("draw", [sample, lambda spec, seed, trial: trial_rng(seed, trial)])
+    @pytest.mark.parametrize(
+        "seed,trial,named",
+        [(1.9, 0, "seed"), (True, 0, "seed"), (0, 0.5, "trial"), (0, False, "trial")],
+    )
+    def test_seed_and_trial_must_be_integers(self, draw, seed, trial, named):
+        spec = SourceSpec(ns=3, n=5, pmax=0.5)
+        with pytest.raises(TypeError, match=f"{named}.* must be an integer"):
+            draw(spec, seed, trial)
+
     def test_trial_rng_streams_differ(self):
         a = trial_rng(5, 0).random(4)
         b = trial_rng(5, 1).random(4)
