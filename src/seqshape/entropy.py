@@ -35,6 +35,9 @@ def _check_ns(ns: int) -> int:
     ns = _check_integer(ns, "alphabet size")
     if ns < 2:
         raise ValueError(f"alphabet size must be >= 2, got {ns}")
+    # symbols in [0, ns) are int64, and the rank codec sizes lists by ns
+    if ns > (1 << 63) - 1:
+        raise ValueError(f"alphabet size must be <= 2**63 - 1, got {ns}")
     return ns
 
 

@@ -15,7 +15,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .entropy import Sequence
+from .entropy import Sequence, _check_ns
 
 __all__ = ["read_sequence", "write_sequence", "parse_sequence", "format_sequence"]
 
@@ -30,13 +30,17 @@ def parse_sequence(text: str) -> Sequence:
     header = lines[0].split(" ")
     if len(header) != 2 or header[0] != "ns" or not header[1].isdigit():
         raise ValueError(f"malformed header {lines[0]!r}; expected 'ns <integer>'")
-    ns = int(header[1])
+    ns = _check_ns(int(header[1]))
     tokens = lines[1].split()
     if not tokens:
         raise ValueError("no symbols on line 2")
     if not all(t.isdigit() for t in tokens):
         raise ValueError("symbols must be non-negative decimal integers")
-    return Sequence(symbols=np.array([int(t) for t in tokens], dtype=np.int64), ns=ns)
+    symbols = [int(t) for t in tokens]
+    # checked before the int64 conversion, which overflows beyond 2**63 - 1
+    if max(symbols) >= ns:
+        raise ValueError(f"symbol out of range [0, {ns})")
+    return Sequence(symbols=np.array(symbols, dtype=np.int64), ns=ns)
 
 
 def format_sequence(seq: Sequence) -> str:

@@ -14,6 +14,14 @@ Two interchangeable strategies are provided:
   space keyed by (information content, lexicographic) and map it to the same
   rank in the target space's order.  Exact but exponential: only usable while
   ns^(N+K) stays within the enumeration bound.
+
+The exact-sorted order of a space is built on first use and cached.  The
+build gives every sequence its type class's value and stable-sorts them.
+It reads the space in chunks of the sequences that share a head (all
+symbols but the last ``tail``).  Once per build, the tails are grouped by
+multiset, and so are the heads; once per head multiset, merging it into
+every distinct tail multiset gives the values by tail multiset; once per
+chunk, those values are copied out by each tail's multiset.
 """
 from __future__ import annotations
 
@@ -168,34 +176,68 @@ def _digits_from_lex(lex, ns: int, length: int) -> np.ndarray:
     return (lex // _lex_places(ns, length)) % ns
 
 
+def _multisets(ns: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct multisets among the ``ns**width`` sequences of ``width`` symbols.
+
+    Returns each multiset's sorted symbols, one row per multiset in the lex
+    order of those rows, and for each sequence, in lex order, its
+    multiset's row.
+    """
+    size = ns**width
+    rows = np.indices((ns,) * width, dtype=np.int64).reshape(width, size).T.copy()
+    rows.sort(axis=1)
+    names = rows @ _lex_places(ns, width)  # lex index of the sorted symbols
+    holder = np.zeros(size, dtype=np.int64)
+    holder[names] = np.arange(size)  # some sequence of each multiset
+    named = np.zeros(size, dtype=bool)
+    named[names] = True
+    return rows[holder[named]], (np.cumsum(named) - 1)[names]
+
+
 def _info_by_lex_index(ns: int, length: int) -> np.ndarray:
     """Information content of every length-``length`` sequence, in lex order.
 
-    Each chunk is the ``ns**tail`` sequences sharing one head, contiguous in
-    lex order: the tail digits are decoded once and a chunk writes only its
-    head, so memory does not grow with ``ns``.  A sorted row changes value at
-    a set of positions (a ``length - 1`` bit key); the runs between them are
-    the row's nonzero counts.  Each type class gets its value from the shared
-    canonical scalar once, so independently built orderings sort on
-    bit-identical keys.  Requires ``length >= 1``.
+    A sequence's value depends only on its multiset of symbols.  Each chunk
+    is the ``ns**tail`` sequences sharing one head, contiguous in lex order,
+    so a chunk's values depend only on the head's multiset and each tail's.
+
+    * Once per build, the tails and the heads are grouped by multiset.
+    * Once per head multiset, it is merged into each distinct tail
+      multiset.  A sorted row changes value at a set of positions (a
+      ``length - 1`` bit key); the runs between them are the row's nonzero
+      counts.  Each key's value is worked out once per build, from the
+      shared canonical scalar called once per type class, so independently
+      built orderings sort on bit-identical keys.
+    * Once per chunk, the values are copied out by each tail's multiset
+      (one gather, written to every chunk with that head multiset).
+
+    Requires ``length >= 1``.
     """
     tail = max([1] + [t for t in range(1, length + 1) if ns**t <= 1 << 16])
-    head, rows = length - tail, ns**tail
-    digits = np.empty((rows, length), dtype=np.int64)
-    digits[:, head:] = _digits_from_lex(np.arange(rows)[:, None], ns, tail)
+    head = length - tail
+    tails, tid = _multisets(ns, tail)
+    heads, hid = _multisets(ns, head)
+    # tail multiset i shifted by i*ns: one flat stable sort merges a head into
+    # every row at once (two sorted runs), where a row-wise sort pays per row
+    shift = np.arange(len(tails), dtype=np.int64)[:, None] * ns
+    shifted_tails = (tails + shift).ravel()
     bits = 1 << np.arange(length - 1, dtype=np.int64)
     class_info = lru_cache(maxsize=None)(info_from_sorted_counts)
-    info = np.empty(ns**length, dtype=np.float64)
-    for start in range(0, info.size, rows):
-        digits[:, :head] = _digits_from_lex(start // rows, ns, head)
-        ordered = np.sort(digits, axis=1)
+
+    @lru_cache(maxsize=None)
+    def value(key: int) -> float:
+        ends = [j + 1 for j in range(length - 1) if key >> j & 1] + [length]
+        return class_info(tuple(sorted(b - a for a, b in zip([0, *ends], ends))))
+
+    info = np.empty((hid.size, tid.size), dtype=np.float64)
+    chunks = np.split(np.argsort(hid), np.cumsum(np.bincount(hid))[:-1])
+    for multiset, group in zip(heads, chunks):
+        merged = np.sort(np.concatenate([shifted_tails, (shift + multiset).ravel()]), kind="stable")
+        ordered = merged.reshape(-1, length)
         keys, inverse = np.unique((ordered[:, 1:] != ordered[:, :-1]) @ bits, return_inverse=True)
-        values = np.empty(keys.size, dtype=np.float64)
-        for i, key in enumerate(keys.tolist()):
-            ends = [j + 1 for j in range(length - 1) if key >> j & 1] + [length]
-            values[i] = class_info(tuple(sorted(b - a for a, b in zip([0, *ends], ends))))
-        info[start : start + rows] = values[inverse]
-    return info
+        values = np.array([value(key) for key in keys.tolist()])[inverse]
+        info[group] = values[tid]
+    return info.ravel()
 
 
 # every caller uses one (n, n+k) pair at a time; a space at the default

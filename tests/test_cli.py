@@ -53,6 +53,19 @@ class TestTransformInvert:
         src = write_seq_file(tmp_path, "in.txt", 3, [0] * 40)
         assert main(["transform", "--in", str(src), "--strategy", "exact-sorted"]) == 2
 
+    @pytest.mark.parametrize("command", ["transform", "invert"])
+    def test_symbol_beyond_int64_exit_2(self, tmp_path, capsys, command):
+        src = write_seq_file(tmp_path, "in.txt", 3, [0, 1, 99999999999999999999])
+        assert main([command, "--in", str(src)]) == 2
+        assert capsys.readouterr().err == f"error: {src}: symbol out of range [0, 3)\n"
+
+    @pytest.mark.parametrize("command", ["transform", "invert"])
+    @pytest.mark.parametrize("ns", [2**63, 99999999999999999999])
+    def test_alphabet_beyond_int64_exit_2(self, tmp_path, capsys, command, ns):
+        src = write_seq_file(tmp_path, "in.txt", ns, [0, 1])
+        assert main([command, "--in", str(src)]) == 2
+        assert capsys.readouterr().err == f"error: {src}: alphabet size must be <= 2**63 - 1, got {ns}\n"
+
 
 class TestOracle:
     def test_report_json(self, capsys):

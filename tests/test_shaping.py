@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqshape import (
@@ -39,6 +40,88 @@ def random_sequences(max_ns=64, max_len=200):
         lambda ns: st.tuples(
             st.just(ns), st.lists(st.integers(0, ns - 1), min_size=1, max_size=max_len)
         )
+    )
+
+
+# sha256 of the little-endian int64 bytes of _space_order's (order, rank),
+# taken from the parent commit of the per-multiset order build
+SPACE_ORDER_SHA256 = {
+    (4, 9): (
+        "96db0293a731d1e5a90ba1166e3d3edac595c84db5a21549514812953074553d",
+        "730bc1693852ce195dd644b8f147ce576f52d182027a6bba8dc372e2a12a1173",
+    ),
+    (4, 10): (
+        "c63940b7abdefc979cc803d1d4d3a64db73640c50c87fae770dc3eff4e48a5ad",
+        "743cdd9dfe098474d68962d48d4eccee7011d324ef737f9d90a85c62b6d3c90e",
+    ),
+    (2, 19): (
+        "4cba1d8664062a17dd28ee6a5c23ad31957c2b1bccf64ebc3fdbab6de0a04d6a",
+        "f1a39faac449f58b75586754c7d464d1f874a7ecb634803d3f166206eb362f32",
+    ),
+    (2, 20): (
+        "c7447aed6e9a7a7daad3c4b685fb35eebe5cd812db101cfc2a82a9ff5c9df027",
+        "bbfbd3bc6eedb203c596723ec0c079596c494fad8d6898bb35736d249dd11cbb",
+    ),
+    (3, 8): (
+        "2821d3b4ae14944347457b59db4f62e053133143dfa1b7dbd3c7ab062051f82f",
+        "6d39b9b03cfe5ccf194157376a9352174f693d4eefb5ddaead9685bd653753d0",
+    ),
+    (3, 9): (
+        "b51f99049fa87ff6f28867c919c26110e61b373e12e44ad609d4b921ea0de79b",
+        "74a3ba64592f577b0f1c484bfdc36c0ebe77c902d46479bb734675642ca1e04e",
+    ),
+}
+
+
+def counted_info(ns, length):
+    """``info_from_sorted_counts`` of every sequence's symbol counts, in lex order.
+
+    Independent of the order build: rows come from ``np.unravel_index``, and
+    a row's counts from comparing every pair of its positions.  Sorted, the
+    per-position counts hold a symbol's count c exactly c times; rows are
+    grouped by those bytes and ``class_counts`` reads each group's counts.
+    """
+    size = ns**length
+    info = np.empty(size)
+    for start in range(0, size, 1 << 16):
+        lex = np.arange(start, min(size, start + (1 << 16)))
+        rows = np.stack(np.unravel_index(lex, (ns,) * length), axis=1)
+        same = rows[:, :, None] == rows[:, None, :]
+        per_position = np.sort(same.sum(axis=2, dtype=np.uint8), axis=1)
+        keys = per_position.view(f"V{length}").ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        values = np.array([info_from_sorted_counts(class_counts(per_position[i].tolist())) for i in first])
+        info[start : start + lex.size] = values[inverse]
+    return info
+
+
+def class_counts(per_position):
+    counts, i = [], 0
+    while i < len(per_position):
+        counts.append(per_position[i])
+        i += per_position[i]
+    return tuple(counts)
+
+
+def largest_ns(bound, length):
+    """The largest alphabet with ns**length <= bound."""
+    ns = round(bound ** (1 / length))
+    while ns**length > bound:
+        ns -= 1
+    while (ns + 1) ** length <= bound:
+        ns += 1
+    return ns
+
+
+def shapes_within(bound):
+    """Every (ns, length) with ns >= 2, length >= 1 and ns**length <= bound."""
+    return [(ns, length) for length in range(1, bound.bit_length()) for ns in range(2, largest_ns(bound, length) + 1)]
+
+
+def shape_within(bound):
+    """A length, then an alphabet with ns**length <= bound."""
+    return st.integers(1, bound.bit_length() - 1).flatmap(
+        lambda length: st.tuples(st.integers(2, largest_ns(bound, length)), st.just(length))
     )
 
 
@@ -231,6 +314,44 @@ class TestOrderBuild:
         shaping._info_by_lex_index(ns, length)
         assert len(calls) == classes
         assert len(set(calls)) == classes
+
+    def test_matches_counts_for_every_space_up_to_4096_sequences(self):
+        shapes = shapes_within(1 << 12)
+        assert len(shapes) == 4194
+        for ns, length in shapes:
+            assert shaping._info_by_lex_index(ns, length).tobytes() == counted_info(ns, length).tobytes(), (ns, length)
+
+    # tail, head: 16, 0 | 16, 1 | 16, 2 | 16, 3 | 8, 0 | 8, 1 | 10, 2 |
+    # 5, 2 | 4, 0 | 4, 1 | 2, 0 | 1, 1 (ns**tail <= 2**16 < ns**(tail + 1))
+    @pytest.mark.parametrize(
+        "ns,length",
+        [(2, 16), (2, 17), (2, 18), (2, 19), (4, 8), (4, 9), (3, 12), (7, 7), (16, 4), (16, 5), (256, 2), (300, 2)],
+    )
+    def test_matches_counts_on_both_sides_of_the_chunk_boundary(self, ns, length):
+        assert shaping._info_by_lex_index(ns, length).tobytes() == counted_info(ns, length).tobytes()
+
+    @settings(max_examples=25)
+    @given(shape_within(1 << 18))
+    def test_matches_counts_up_to_2_18_sequences(self, shape):
+        ns, length = shape
+        assert shaping._info_by_lex_index(ns, length).tobytes() == counted_info(ns, length).tobytes()
+
+    @pytest.mark.parametrize("shape", sorted(SPACE_ORDER_SHA256))
+    def test_space_order_bytes_pinned(self, shape):
+        order, rank = shaping._space_order(*shape)
+        digests = tuple(hashlib.sha256(a.astype("<i8").tobytes()).hexdigest() for a in (order, rank))
+        assert digests == SPACE_ORDER_SHA256[shape]
+
+    def test_memory_of_a_many_chunk_space(self):
+        # (2, 20): the output and the 65536 x 16 tail block are 8 MiB each; a
+        # build that also keeps per-chunk copies of the block peaks near 40 MiB
+        tracemalloc.start()
+        try:
+            shaping._info_by_lex_index(2, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20
 
 
 class TestDispatchAndConfig:
