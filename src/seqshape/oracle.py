@@ -116,18 +116,6 @@ def sorted_space(ns: int, length: int, max_space: int = DEFAULT_MAX_SPACE) -> li
     return _tuples(order, ns, length)
 
 
-def _partitions(total: int, parts: int, largest: int):
-    """The partitions of ``total`` into at most ``parts`` parts of at most ``largest``, parts descending."""
-    if total == 0:
-        yield ()
-        return
-    if parts == 0:
-        return
-    for first in range(min(total, largest), 0, -1):
-        for rest in _partitions(total - first, parts - 1, first):
-            yield (first, *rest)
-
-
 def _info_runs(ns: int, length: int) -> list[tuple[float, int]]:
     """The sorted information contents of all ``ns**length`` sequences, as (value, count) runs.
 
@@ -139,7 +127,7 @@ def _info_runs(ns: int, length: int) -> list[tuple[float, int]]:
     (info, lex) order uses, so it is bit-identical to that order's key.
     """
     runs: dict[float, int] = {}
-    for part in _partitions(length, ns, length):
+    for part in shaping._partitions(length, ns, length):
         labelings = math.perm(ns, len(part)) // math.prod(map(math.factorial, Counter(part).values()))
         sequences = math.factorial(length) // math.prod(map(math.factorial, part))
         value = info_from_sorted_counts(tuple(sorted(part)))

@@ -91,8 +91,14 @@ class RankState:
 
     def __init__(self, ns: int):
         self.ns = _check_ns(ns)
-        self.counts = [0] * self.ns
-        self._keys = list(range(self.ns))
+        try:
+            self.counts = [0] * self.ns
+            self._keys = list(range(self.ns))
+        except MemoryError:
+            raise MemoryError(
+                f"alphabet size {self.ns}: the rank codec keeps a count and a key "
+                f"per symbol of the alphabet, two lists of {self.ns} entries"
+            ) from None
         self.comparisons = 0
 
     @classmethod

@@ -15,13 +15,17 @@ Two interchangeable strategies are provided:
   rank in the target space's order.  Exact but exponential: only usable while
   ns^(N+K) stays within the enumeration bound.
 
-The exact-sorted order of a space is built on first use and cached.  The
-build gives every sequence its type class's value and stable-sorts them.
-It reads the space in chunks of the sequences that share a head (all
-symbols but the last ``tail``).  Once per build, the tails are grouped by
-multiset, and so are the heads; once per head multiset, merging it into
-every distinct tail multiset gives the values by tail multiset; once per
-chunk, those values are copied out by each tail's multiset.
+The exact-sorted order of a space is built on first use and cached.  Every
+sequence of a type class (a partition of the length into at most ``ns``
+parts) has the same value, and a space within the enumeration bound has at
+most a few dozen classes.  So the build gives every sequence the rank of its
+class's value, one byte, and stable-sorts those ranks: numpy sorts small
+integers by radix, in O(ns^L).  It reads the space in chunks of the
+sequences that share a head (all symbols but the last ``tail``).  Once per
+build, the classes are ranked, the tails are grouped by multiset, and so are
+the heads; once per head multiset, merging it into every distinct tail
+multiset gives the ranks by tail multiset; once per chunk, those ranks are
+copied out by each tail's multiset.
 """
 from __future__ import annotations
 
@@ -194,21 +198,49 @@ def _multisets(ns: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[holder[named]], (np.cumsum(named) - 1)[names]
 
 
+def _partitions(total: int, parts: int, largest: int):
+    """The partitions of ``total`` into at most ``parts`` parts of at most ``largest``, parts descending."""
+    if total == 0:
+        yield ()
+        return
+    if parts == 0:
+        return
+    for first in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - first, parts - 1, first):
+            yield (first, *rest)
+
+
+def _type_classes(ns: int, length: int) -> tuple[dict[tuple[int, ...], int], np.ndarray]:
+    """The type classes of the length-``length`` sequences, ranked by value.
+
+    A class is a partition of ``length`` into at most ``ns`` parts, written
+    as its counts ascending.  Returns each class's rank among the distinct
+    values, and those values ascending: class ``c`` has value
+    ``values[rank[c]]``, and classes of equal value share a rank.  Each value
+    comes from the shared canonical scalar, called once per class, so
+    independently built orderings sort on bit-identical keys.
+    """
+    classes = [part[::-1] for part in _partitions(length, ns, length)]
+    values, ranks = np.unique([info_from_sorted_counts(c) for c in classes], return_inverse=True)
+    return dict(zip(classes, ranks.tolist())), values
+
+
 def _info_by_lex_index(ns: int, length: int) -> np.ndarray:
-    """Information content of every length-``length`` sequence, in lex order.
+    """The class rank (see :func:`_type_classes`) of every length-``length`` sequence, in lex order.
 
-    A sequence's value depends only on its multiset of symbols.  Each chunk
-    is the ``ns**tail`` sequences sharing one head, contiguous in lex order,
-    so a chunk's values depend only on the head's multiset and each tail's.
+    The ranks have the smallest unsigned dtype that holds them, ``uint8`` for
+    every space within the default enumeration bound.  A sequence's class
+    depends only on its multiset of symbols.  Each chunk is the ``ns**tail``
+    sequences sharing one head, contiguous in lex order, so a chunk's ranks
+    depend only on the head's multiset and each tail's.
 
-    * Once per build, the tails and the heads are grouped by multiset.
+    * Once per build, the classes are ranked, and the tails and the heads
+      are grouped by multiset.
     * Once per head multiset, it is merged into each distinct tail
       multiset.  A sorted row changes value at a set of positions (a
       ``length - 1`` bit key); the runs between them are the row's nonzero
-      counts.  Each key's value is worked out once per build, from the
-      shared canonical scalar called once per type class, so independently
-      built orderings sort on bit-identical keys.
-    * Once per chunk, the values are copied out by each tail's multiset
+      counts, its class.  Each key's rank is worked out once per build.
+    * Once per chunk, the ranks are copied out by each tail's multiset
       (one gather, written to every chunk with that head multiset).
 
     Requires ``length >= 1``.
@@ -222,22 +254,23 @@ def _info_by_lex_index(ns: int, length: int) -> np.ndarray:
     shift = np.arange(len(tails), dtype=np.int64)[:, None] * ns
     shifted_tails = (tails + shift).ravel()
     bits = 1 << np.arange(length - 1, dtype=np.int64)
-    class_info = lru_cache(maxsize=None)(info_from_sorted_counts)
+    class_rank, values = _type_classes(ns, length)
+    dtype = np.min_scalar_type(values.size - 1)
 
     @lru_cache(maxsize=None)
-    def value(key: int) -> float:
+    def rank(key: int) -> int:
         ends = [j + 1 for j in range(length - 1) if key >> j & 1] + [length]
-        return class_info(tuple(sorted(b - a for a, b in zip([0, *ends], ends))))
+        return class_rank[tuple(sorted(b - a for a, b in zip([0, *ends], ends)))]
 
-    info = np.empty((hid.size, tid.size), dtype=np.float64)
+    codes = np.empty((hid.size, tid.size), dtype=dtype)
     chunks = np.split(np.argsort(hid), np.cumsum(np.bincount(hid))[:-1])
     for multiset, group in zip(heads, chunks):
         merged = np.sort(np.concatenate([shifted_tails, (shift + multiset).ravel()]), kind="stable")
         ordered = merged.reshape(-1, length)
         keys, inverse = np.unique((ordered[:, 1:] != ordered[:, :-1]) @ bits, return_inverse=True)
-        values = np.array([value(key) for key in keys.tolist()])[inverse]
-        info[group] = values[tid]
-    return info.ravel()
+        ranks = np.array([rank(key) for key in keys.tolist()], dtype=dtype)[inverse]
+        codes[group] = ranks[tid]
+    return codes.ravel()
 
 
 # every caller uses one (n, n+k) pair at a time; a space at the default
@@ -247,11 +280,11 @@ def _space_order(ns: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     """(order, rank) arrays of the (info, lex) total order on all sequences.
 
     ``order[r]`` is the lex index of the rank-r sequence; ``rank`` is the
-    inverse permutation.  Stable argsort over the lex enumeration makes the
-    lexicographic tie-break implicit.
+    inverse permutation.  Sorting the class ranks sorts the values, and a
+    stable argsort over the lex enumeration makes the lexicographic
+    tie-break implicit; on integers of 16 bits or fewer it is a radix sort.
     """
-    info = _info_by_lex_index(ns, length)
-    order = np.argsort(info, kind="stable")
+    order = np.argsort(_info_by_lex_index(ns, length), kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size, dtype=np.int64)
     order.setflags(write=False)

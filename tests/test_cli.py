@@ -66,6 +66,14 @@ class TestTransformInvert:
         assert main([command, "--in", str(src)]) == 2
         assert capsys.readouterr().err == f"error: {src}: alphabet size must be <= 2**63 - 1, got {ns}\n"
 
+    def test_alphabet_too_large_for_memory_exit_5(self, tmp_path, capsys):
+        # a list of 2**63 - 1 entries fails its size check before allocating
+        src = write_seq_file(tmp_path, "in.txt", 9223372036854775807, [0, 1])
+        assert main(["transform", "--in", str(src)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: alphabet size 9223372036854775807")
+        assert len(err.splitlines()) == 1
+
 
 class TestOracle:
     def test_report_json(self, capsys):

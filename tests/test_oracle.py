@@ -20,7 +20,7 @@ from seqshape import (
     validate_strategy,
 )
 
-from conftest import seq
+from conftest import built_info, seq
 from reference_impl import ref_oracle_report, ref_sorted_space
 
 # frozen from two independent brute-force enumerations of all 9 and 27 sequences
@@ -48,8 +48,8 @@ def report_hex(report):
 def enumerated_report_hex(ns, n, k):
     """The four fields from every sequence's value, sorted and summed with ``math.fsum``."""
     size = ns**n
-    src = np.sort(shaping._info_by_lex_index(ns, n))
-    tgt = np.sort(shaping._info_by_lex_index(ns, n + k))[:size]
+    src = np.sort(built_info(ns, n))
+    tgt = np.sort(built_info(ns, n + k))[:size]
     avg_source = math.fsum(src.tolist()) / size
     avg_shaped = math.fsum(tgt.tolist()) / size
     success = int(np.count_nonzero(tgt < src)) / size

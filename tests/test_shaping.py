@@ -31,7 +31,7 @@ from seqshape import (
 )
 from seqshape import shaping
 
-from conftest import seq
+from conftest import built_info, seq
 from reference_impl import ref_exact_sorted_map, ref_inverse_adaptive, ref_transform_adaptive
 
 
@@ -93,6 +93,15 @@ def counted_info(ns, length):
         values = np.array([info_from_sorted_counts(class_counts(per_position[i].tolist())) for i in first])
         info[start : start + lex.size] = values[inverse]
     return info
+
+
+def assert_order_matches_counts(ns, length):
+    """``_space_order`` is a stable argsort of ``counted_info``, and ``rank`` its inverse."""
+    order, rank = shaping._space_order(ns, length)
+    expected = np.argsort(counted_info(ns, length), kind="stable")
+    assert order.dtype == rank.dtype == np.int64, (ns, length)
+    assert np.array_equal(order, expected), (ns, length)
+    assert np.array_equal(rank[order], np.arange(ns**length)), (ns, length)
 
 
 def class_counts(per_position):
@@ -291,7 +300,7 @@ class TestExactSortedTransform:
 
 class TestOrderBuild:
     def test_memory_does_not_grow_with_alphabet(self):
-        # the output is 90000 floats (0.7 MiB); a per-chunk (rows x ns)
+        # the output is 90000 one-byte class ranks; a per-chunk (rows x ns)
         # count matrix would take hundreds of MiB here
         tracemalloc.start()
         try:
@@ -319,7 +328,7 @@ class TestOrderBuild:
         shapes = shapes_within(1 << 12)
         assert len(shapes) == 4194
         for ns, length in shapes:
-            assert shaping._info_by_lex_index(ns, length).tobytes() == counted_info(ns, length).tobytes(), (ns, length)
+            assert built_info(ns, length).tobytes() == counted_info(ns, length).tobytes(), (ns, length)
 
     # tail, head: 16, 0 | 16, 1 | 16, 2 | 16, 3 | 8, 0 | 8, 1 | 10, 2 |
     # 5, 2 | 4, 0 | 4, 1 | 2, 0 | 1, 1 (ns**tail <= 2**16 < ns**(tail + 1))
@@ -328,13 +337,39 @@ class TestOrderBuild:
         [(2, 16), (2, 17), (2, 18), (2, 19), (4, 8), (4, 9), (3, 12), (7, 7), (16, 4), (16, 5), (256, 2), (300, 2)],
     )
     def test_matches_counts_on_both_sides_of_the_chunk_boundary(self, ns, length):
-        assert shaping._info_by_lex_index(ns, length).tobytes() == counted_info(ns, length).tobytes()
+        assert built_info(ns, length).tobytes() == counted_info(ns, length).tobytes()
 
     @settings(max_examples=25)
     @given(shape_within(1 << 18))
     def test_matches_counts_up_to_2_18_sequences(self, shape):
         ns, length = shape
-        assert shaping._info_by_lex_index(ns, length).tobytes() == counted_info(ns, length).tobytes()
+        assert built_info(ns, length).tobytes() == counted_info(ns, length).tobytes()
+
+    @pytest.mark.parametrize("ns,length", [(4, 10), (2, 20), (300, 2)])
+    def test_class_ranks_are_one_byte(self, ns, length):
+        codes = shaping._info_by_lex_index(ns, length)
+        assert codes.dtype == np.uint8
+        assert codes.size == ns**length
+
+    def test_class_list_is_the_partitions(self):
+        # partitions of 12 into at most 3 parts, counts ascending; values ranked
+        class_rank, values = shaping._type_classes(3, 12)
+        assert len(class_rank) == 19
+        assert all(sum(c) == 12 and list(c) == sorted(c) and len(c) <= 3 for c in class_rank)
+        assert np.all(np.diff(values) > 0)
+        for counts, r in class_rank.items():
+            assert values[r] == info_from_sorted_counts(counts)
+
+    def test_order_matches_counts_for_every_space_up_to_4096_sequences(self):
+        shapes = shapes_within(1 << 12)
+        assert len(shapes) == 4194
+        for ns, length in shapes:
+            assert_order_matches_counts(ns, length)
+
+    @settings(max_examples=25)
+    @given(shape_within(1 << 18))
+    def test_order_matches_counts_up_to_2_18_sequences(self, shape):
+        assert_order_matches_counts(*shape)
 
     @pytest.mark.parametrize("shape", sorted(SPACE_ORDER_SHA256))
     def test_space_order_bytes_pinned(self, shape):
@@ -343,8 +378,9 @@ class TestOrderBuild:
         assert digests == SPACE_ORDER_SHA256[shape]
 
     def test_memory_of_a_many_chunk_space(self):
-        # (2, 20): the output and the 65536 x 16 tail block are 8 MiB each; a
-        # build that also keeps per-chunk copies of the block peaks near 40 MiB
+        # (2, 20): the 65536 x 16 tail block is 8 MiB and the output of
+        # one-byte class ranks 1 MiB; a build that also keeps per-chunk copies
+        # of the block peaks near 40 MiB
         tracemalloc.start()
         try:
             shaping._info_by_lex_index(2, 20)
