@@ -26,6 +26,8 @@ __all__ = [
 
 
 def _check_integer(value, what: str) -> int:
+    if type(value) is int:  # the common case, checked on every exact-sorted call
+        return value
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise TypeError(f"{what} must be an integer, got {value!r}")
     return int(value)

@@ -19,13 +19,17 @@ The exact-sorted order of a space is built on first use and cached.  Every
 sequence of a type class (a partition of the length into at most ``ns``
 parts) has the same value, and a space within the enumeration bound has at
 most a few dozen classes.  So the build gives every sequence the rank of its
-class's value, one byte, and stable-sorts those ranks: numpy sorts small
-integers by radix, in O(ns^L).  It reads the space in chunks of the
-sequences that share a head (all symbols but the last ``tail``).  Once per
-build, the classes are ranked, the tails are grouped by multiset, and so are
-the heads; once per head multiset, merging it into every distinct tail
-multiset gives the ranks by tail multiset; once per chunk, those ranks are
-copied out by each tail's multiset.
+class's value, one byte.  It reads the space in chunks of the sequences that
+share a head (all symbols but the last ``tail``), whose ranks depend only on
+the head's multiset and each tail's.  Once per build, the classes are
+ranked, and the tails and the heads are grouped by multiset, grown one
+symbol at a time; per batch of head multisets, merging each into every
+distinct tail multiset gives the ranks by tail multiset; per chunk, those
+ranks are copied out by each tail's multiset.  Nothing then sorts the whole
+space: a stable argsort of one chunk's ranks orders every chunk of its head
+multiset by class (small chunks are sorted a block at a time), and per-class
+counts place each chunk's class segments in the order.  The order and its
+inverse are ``int32``, ``int64`` only beyond 2^31 sequences.
 """
 from __future__ import annotations
 
@@ -71,6 +75,9 @@ STRATEGIES = (ADAPTIVE_RANK, EXACT_SORTED)
 DEFAULT_MAX_SPACE = 1 << 24
 # lex indices and their place values are int64
 _MAX_LEX_INDEX = np.iinfo(np.int64).max
+# symbols merged per batch of the class-rank build, and sequences per block
+# of the order build: small enough that a step's work stays in cache
+_STEP = 1 << 14
 
 
 class NotInImageError(Exception):
@@ -95,7 +102,7 @@ class ShaperConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         _check_ns(self.ns)
         _check_k(self.k)
-        if self.max_space < 2:
+        if _check_integer(self.max_space, "enumeration bound") < 2:
             raise ValueError("enumeration bound must be >= 2")
 
 
@@ -153,6 +160,7 @@ def is_in_image(seq: Sequence, k: int = 1) -> bool:
 
 
 def _check_space(ns: int, length: int, max_space: int) -> int:
+    max_space = _check_integer(max_space, "enumeration bound")
     size = ns**length
     if size - 1 > _MAX_LEX_INDEX:
         raise SpaceTooLargeError(
@@ -185,17 +193,41 @@ def _multisets(ns: int, width: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns each multiset's sorted symbols, one row per multiset in the lex
     order of those rows, and for each sequence, in lex order, its
-    multiset's row.
+    multiset's row.  The multisets grow one symbol at a time: a sequence
+    of ``w`` symbols is one of ``w - 1`` symbols followed by a last one, so
+    its row is a transition of its prefix's row.
     """
-    size = ns**width
-    rows = np.indices((ns,) * width, dtype=np.int64).reshape(width, size).T.copy()
-    rows.sort(axis=1)
-    names = rows @ _lex_places(ns, width)  # lex index of the sorted symbols
-    holder = np.zeros(size, dtype=np.int64)
-    holder[names] = np.arange(size)  # some sequence of each multiset
-    named = np.zeros(size, dtype=bool)
-    named[names] = True
-    return rows[holder[named]], (np.cumsum(named) - 1)[names]
+    columns = np.zeros((0, 1), dtype=np.int64)  # the rows, transposed
+    ids = np.zeros(1, dtype=np.int64)
+    symbols = np.arange(ns, dtype=np.int64)
+    for w in range(1, width + 1):
+        # inserting s into a sorted row r gives max(r[j-1], min(r[j], s)) at j
+        below = np.concatenate([np.full((1, columns.shape[1]), -1), columns])[:, :, None]
+        above = np.concatenate([columns, np.full((1, columns.shape[1]), ns)])[:, :, None]
+        grown = np.maximum(below, np.minimum(above, symbols))  # (position, row, symbol)
+        names = np.tensordot(_lex_places(ns, w), grown, axes=1)  # lex index of the sorted symbols
+        table = np.zeros(ns**w, dtype=np.int64)
+        table[names] = 1
+        trans = np.cumsum(table, out=table)[names] - 1  # (row, symbol) -> grown row
+        columns = np.empty((w, table[-1]), dtype=np.int64)
+        columns[:, trans] = grown
+        ids = trans.ravel()[(ids * ns)[:, None] + symbols].ravel()
+    return columns.T.copy(), ids
+
+
+def _chunk_shape(ns: int, length: int) -> tuple[int, int]:
+    """(head, tail) symbols of the order build's chunks.
+
+    A chunk is the ``ns**tail`` sequences sharing one head, contiguous in lex
+    order; ``tail`` is the largest with ``ns**tail <= 2**16``, and at least 1.
+    """
+    tail = max([1] + [t for t in range(1, length + 1) if ns**t <= 1 << 16])
+    return length - tail, tail
+
+
+def _index_dtype(size: int) -> type:
+    """``int32`` while it holds every lex index of ``size`` sequences, else ``int64``."""
+    return np.int32 if size - 1 <= np.iinfo(np.int32).max else np.int64
 
 
 def _partitions(total: int, parts: int, largest: int):
@@ -236,23 +268,19 @@ def _info_by_lex_index(ns: int, length: int) -> np.ndarray:
 
     * Once per build, the classes are ranked, and the tails and the heads
       are grouped by multiset.
-    * Once per head multiset, it is merged into each distinct tail
-      multiset.  A sorted row changes value at a set of positions (a
-      ``length - 1`` bit key); the runs between them are the row's nonzero
-      counts, its class.  Each key's rank is worked out once per build.
+    * Per batch of head multisets (up to ``_STEP`` merged symbols), each is
+      merged into each distinct tail multiset.  A sorted row changes value
+      at a set of positions (a ``length - 1`` bit key); the runs between
+      them are the row's nonzero counts, its class.  Each key's rank is
+      worked out once per build.
     * Once per chunk, the ranks are copied out by each tail's multiset
       (one gather, written to every chunk with that head multiset).
 
     Requires ``length >= 1``.
     """
-    tail = max([1] + [t for t in range(1, length + 1) if ns**t <= 1 << 16])
-    head = length - tail
+    head, tail = _chunk_shape(ns, length)
     tails, tid = _multisets(ns, tail)
     heads, hid = _multisets(ns, head)
-    # tail multiset i shifted by i*ns: one flat stable sort merges a head into
-    # every row at once (two sorted runs), where a row-wise sort pays per row
-    shift = np.arange(len(tails), dtype=np.int64)[:, None] * ns
-    shifted_tails = (tails + shift).ravel()
     bits = 1 << np.arange(length - 1, dtype=np.int64)
     class_rank, values = _type_classes(ns, length)
     dtype = np.min_scalar_type(values.size - 1)
@@ -263,30 +291,87 @@ def _info_by_lex_index(ns: int, length: int) -> np.ndarray:
         return class_rank[tuple(sorted(b - a for a, b in zip([0, *ends], ends)))]
 
     codes = np.empty((hid.size, tid.size), dtype=dtype)
-    chunks = np.split(np.argsort(hid), np.cumsum(np.bincount(hid))[:-1])
-    for multiset, group in zip(heads, chunks):
-        merged = np.sort(np.concatenate([shifted_tails, (shift + multiset).ravel()]), kind="stable")
+    groups = np.split(np.argsort(hid), np.cumsum(np.bincount(hid))[:-1])
+    per = max(1, _STEP // (len(tails) * length))
+    # pair p of a batch's (head, tail) multisets shifted by p*ns: one flat
+    # stable sort of two sorted runs merges every pair, where a row-wise sort
+    # pays per row
+    shift = np.arange(per * len(tails), dtype=np.int64).reshape(per, -1, 1) * ns
+    shifted_tails = (tails + shift).ravel()
+    for i in range(0, len(heads), per):
+        batch = heads[i : i + per]
+        shifted_heads = (batch[:, None] + shift[: len(batch)]).ravel()
+        merged = np.sort(np.concatenate([shifted_tails[: len(batch) * tails.size], shifted_heads]), kind="stable")
         ordered = merged.reshape(-1, length)
         keys, inverse = np.unique((ordered[:, 1:] != ordered[:, :-1]) @ bits, return_inverse=True)
-        ranks = np.array([rank(key) for key in keys.tolist()], dtype=dtype)[inverse]
-        codes[group] = ranks[tid]
+        ranks = np.array([rank(key) for key in keys.tolist()], dtype=dtype)[inverse].reshape(len(batch), -1)
+        for row, group in zip(ranks, groups[i : i + per]):
+            codes[group] = row[tid]
     return codes.ravel()
 
 
 # every caller uses one (n, n+k) pair at a time; a space at the default
-# bound holds 256 MiB of (order, rank), so keep no more than that pair
+# bound holds 128 MiB of (order, rank), so keep no more than that pair
 @lru_cache(maxsize=2)
 def _space_order(ns: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     """(order, rank) arrays of the (info, lex) total order on all sequences.
 
     ``order[r]`` is the lex index of the rank-r sequence; ``rank`` is the
-    inverse permutation.  Sorting the class ranks sorts the values, and a
-    stable argsort over the lex enumeration makes the lexicographic
-    tie-break implicit; on integers of 16 bits or fewer it is a radix sort.
+    inverse permutation.  Both are ``int32`` up to 2^31 sequences (see
+    :func:`_index_dtype`).  Nothing sorts the whole space: it is read from
+    :func:`_info_by_lex_index`'s class ranks in blocks of lex-consecutive
+    chunks (:func:`_chunk_shape`), one chunk or up to ``_STEP`` sequences,
+    taken head multiset by head multiset.
+
+    * Once per block, its classes are counted.  ``base[b, c]``, the
+      sequences of lower classes plus those of class ``c`` in blocks before
+      ``b``, is where block ``b``'s class-``c`` sequences start in ``order``.
+    * Once per block, or once per head multiset when blocks are one chunk
+      (the chunks of one head multiset hold the same ranks), a stable argsort
+      of its ranks (``perm``) orders the block by class, then lex.
+    * Per block, class ``c``'s segment of ``perm`` plus the block's first
+      lex index is copied to ``order`` at ``base[b, c]``, and the sequence
+      at place ``i`` of ``perm``, of class ``c``, gets the rank
+      ``base[b, c] - (start of c in perm) + i``.
     """
-    order = np.argsort(_info_by_lex_index(ns, length), kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size, dtype=np.int64)
+    codes = _info_by_lex_index(ns, length)
+    head, tail = _chunk_shape(ns, length)
+    width = ns**tail
+    chunks = codes.reshape(-1, width)
+    _, hid = _multisets(ns, head)
+    members = np.argsort(hid, kind="stable")  # chunks grouped by head multiset
+    # a block is up to `step` chunks, lex-consecutive and in `members` order
+    step = max(1, _STEP // width)
+    runs = np.split(members, np.flatnonzero(np.diff(members) != 1) + 1)
+    blocks = [(first, min(first + step, int(run[-1]) + 1)) for run in runs for first in run[::step].tolist()]
+    # a one-chunk block after one of the same head multiset reuses its counts and sort
+    shared = [int(hid[first]) if stop - first == 1 else None for first, stop in blocks]
+    fresh = [i == 0 or multiset is None or multiset != shared[i - 1] for i, multiset in enumerate(shared)]
+    classes = int(codes.max()) + 1
+    counts = np.empty((len(blocks), classes), dtype=np.int64)
+    for i, (first, stop) in enumerate(blocks):
+        counts[i] = np.bincount(chunks[first:stop].ravel(), minlength=classes) if fresh[i] else counts[i - 1]
+    in_lex = np.argsort([first for first, _ in blocks])
+    earlier = np.empty_like(counts)
+    earlier[in_lex] = np.cumsum(counts[in_lex], axis=0) - counts[in_lex]
+    totals = counts.sum(axis=0)
+    base = np.cumsum(totals) - totals + earlier
+    starts = np.cumsum(counts, axis=1) - counts
+    dtype = _index_dtype(codes.size)
+    offsets = (base - starts).astype(dtype)
+    positions = np.arange(min(step, chunks.shape[0]) * width, dtype=dtype)
+    order = np.empty(codes.size, dtype=dtype)
+    rank = np.empty(codes.size, dtype=dtype)
+    for (first, stop), new, offset, at, sizes, froms in zip(
+        blocks, fresh, offsets, base.tolist(), counts.tolist(), starts.tolist()
+    ):
+        if new:
+            perm = np.argsort(chunks[first:stop].ravel(), kind="stable")
+            in_block = perm.astype(dtype)  # for copies into order
+        rank[first * width : stop * width][perm] = np.repeat(offset, sizes) + positions[: perm.size]
+        for begin, size, start in zip(at, sizes, froms):
+            if size:
+                np.add(in_block[start : start + size], first * width, out=order[begin : begin + size])
     order.setflags(write=False)
     rank.setflags(write=False)
     return order, rank

@@ -99,7 +99,7 @@ def assert_order_matches_counts(ns, length):
     """``_space_order`` is a stable argsort of ``counted_info``, and ``rank`` its inverse."""
     order, rank = shaping._space_order(ns, length)
     expected = np.argsort(counted_info(ns, length), kind="stable")
-    assert order.dtype == rank.dtype == np.int64, (ns, length)
+    assert order.dtype == rank.dtype == np.int32, (ns, length)
     assert np.array_equal(order, expected), (ns, length)
     assert np.array_equal(rank[order], np.arange(ns**length)), (ns, length)
 
@@ -377,6 +377,28 @@ class TestOrderBuild:
         digests = tuple(hashlib.sha256(a.astype("<i8").tobytes()).hexdigest() for a in (order, rank))
         assert digests == SPACE_ORDER_SHA256[shape]
 
+    def test_memory_of_a_whole_order(self):
+        # (2, 20): order and rank are 4 MiB each as int32 and the class ranks
+        # 1 MiB; int64 arrays, or a global argsort's int64 output, peak near
+        # 24 MiB
+        tracemalloc.start()
+        try:
+            shaping._space_order.cache_clear()
+            shaping._space_order(2, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            shaping._space_order.cache_clear()
+        assert peak < 16 << 20
+
+    @pytest.mark.parametrize(
+        "size,dtype",
+        [(1, np.int32), (2**31 - 1, np.int32), (2**31, np.int32), (2**31 + 1, np.int64), (4**24, np.int64)],
+    )
+    def test_index_dtype_holds_every_lex_index(self, size, dtype):
+        # the largest lex index is size - 1; int32 holds up to 2**31 - 1
+        assert shaping._index_dtype(size) is dtype
+
     def test_memory_of_a_many_chunk_space(self):
         # (2, 20): the 65536 x 16 tail block is 8 MiB and the output of
         # one-byte class ranks 1 MiB; a build that also keeps per-chunk copies
@@ -388,6 +410,50 @@ class TestOrderBuild:
         finally:
             tracemalloc.stop()
         assert peak < 24 << 20
+
+
+def brute_multisets(ns, width):
+    """Every sequence's sorted symbols, in lex order, told apart by ``np.unique``.
+
+    A sorted row is named by the base-``ns`` number it spells, so ascending
+    names are the rows in lex order.
+    """
+    rows = np.sort(np.indices((ns,) * width).reshape(width, -1).T, axis=1)
+    names = rows @ ns ** np.arange(width - 1, -1, -1)
+    _, first, ids = np.unique(names, return_index=True, return_inverse=True)
+    return rows[first], ids
+
+
+def assert_multisets_match(ns, width):
+    rows, ids = shaping._multisets(ns, width)
+    expected_rows, expected_ids = brute_multisets(ns, width)
+    assert rows.dtype == ids.dtype == np.int64, (ns, width)
+    assert rows.shape == expected_rows.shape and np.array_equal(rows, expected_rows), (ns, width)
+    assert np.array_equal(ids, expected_ids), (ns, width)
+
+
+# (ns, width) with 2**12 < ns**width <= 2**16: the widths of the order
+# build's tails, beyond the exhaustive test
+MULTISET_SHAPES_BEYOND = [(ns, w) for ns in range(2, 257) for w in range(1, 17) if 1 << 12 < ns**w <= 1 << 16]
+
+
+class TestMultisets:
+    def test_matches_brute_force_up_to_4096_sequences(self):
+        shapes = shapes_within(1 << 12)
+        assert len(shapes) == 4194
+        for ns, width in shapes:
+            assert_multisets_match(ns, width)
+
+    @settings(max_examples=20)
+    @given(st.sampled_from(MULTISET_SHAPES_BEYOND))
+    def test_matches_brute_force_up_to_2_16_sequences(self, shape):
+        assert_multisets_match(*shape)
+
+    @pytest.mark.parametrize("ns", [2, 3, 300])
+    def test_width_zero_is_one_empty_multiset(self, ns):
+        rows, ids = shaping._multisets(ns, 0)
+        assert rows.shape == (1, 0) and rows.dtype == np.int64
+        assert ids.tolist() == [0]
 
 
 class TestDispatchAndConfig:
@@ -429,11 +495,19 @@ class TestDispatchAndConfig:
             (lambda: space_descriptor(3, 2.5), "length"),
             (lambda: SourceSpec(ns=3, n=2.5, pmax=0.5), "sequence length"),
             (lambda: oracle_report(3, 2.5, 1), "length"),
+            (lambda: ShaperConfig(ns=3, max_space=2.5), "enumeration bound"),
+            (lambda: ShaperConfig(ns=3, max_space="x"), "enumeration bound"),
+            (lambda: transform_exact_sorted(seq([0, 1], 2), 1, True), "enumeration bound"),
+            (lambda: inverse_exact_sorted(seq([0, 1, 0], 2), 1, 64.0), "enumeration bound"),
+            (lambda: space_descriptor(3, 2, max_space=1e6), "enumeration bound"),
+            (lambda: oracle_report(3, 2, 1, max_space=np.float64(100)), "enumeration bound"),
         ],
         ids=[
             "float-digits", "bool-digits", "config-ns", "config-k", "source-ns",
             "descriptor-ns", "oracle-k", "transform-k", "membership-k",
             "descriptor-length", "source-length", "oracle-length",
+            "config-bound-float", "config-bound-str", "transform-bound-bool",
+            "inverse-bound-float", "descriptor-bound", "oracle-bound",
         ],
     )
     def test_non_integer_inputs_rejected(self, build, message):
