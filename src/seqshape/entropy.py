@@ -62,6 +62,20 @@ def _check_symbols(values, ns: int, noun: str) -> tuple[int, np.ndarray]:
     return ns, arr
 
 
+def _same_int64(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two int64 arrays hold the same values.
+
+    Up to 4096 values (32 KiB) their bytes are compared, several times
+    cheaper than an elementwise compare; beyond that copying the bytes costs
+    more than comparing the values.
+    """
+    if a.shape != b.shape:
+        return False
+    if a.size <= 4096:
+        return a.tobytes() == b.tobytes()
+    return bool((a == b).all())
+
+
 def _trusted(cls, values, ns: int):
     """A ``cls`` (:class:`Sequence` or ``DigitStream``) of ``values``, skipping its checks.
 
@@ -104,7 +118,7 @@ class Sequence:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
-        return self.ns == other.ns and np.array_equal(self.symbols, other.symbols)
+        return self.ns == other.ns and _same_int64(self.symbols, other.symbols)
 
     __hash__ = None
 
@@ -130,7 +144,7 @@ class Histogram:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Histogram):
             return NotImplemented
-        return self.total == other.total and np.array_equal(self.counts, other.counts)
+        return self.total == other.total and _same_int64(self.counts, other.counts)
 
     __hash__ = None
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import Sequence, _check_integer, _check_ns, _check_symbols, _trusted
+from .entropy import Sequence, _check_integer, _check_ns, _check_symbols, _same_int64, _trusted
 
 __all__ = [
     "DigitStream",
@@ -69,7 +69,7 @@ class DigitStream:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DigitStream):
             return NotImplemented
-        return self.ns == other.ns and np.array_equal(self.digits, other.digits)
+        return self.ns == other.ns and _same_int64(self.digits, other.digits)
 
     __hash__ = None
 

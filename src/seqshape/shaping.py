@@ -30,6 +30,10 @@ space: a stable argsort of one chunk's ranks orders every chunk of its head
 multiset by class (small chunks are sorted a block at a time), and per-class
 counts place each chunk's class segments in the order.  The order and its
 inverse are ``int32``, ``int64`` only beyond 2^31 sequences.
+
+The place values of a space's lex indices (``ns**(length-1), ..., 1``) are
+cached per space too, so a later call is a dot product with them, one lookup
+in each side's order and one division by them.
 """
 from __future__ import annotations
 
@@ -156,7 +160,7 @@ def is_in_image(seq: Sequence, k: int = 1) -> bool:
     _check_k(k)
     if len(seq) <= k:
         raise ValueError(f"shaped sequence must be longer than k={k}, got length {len(seq)}")
-    return not np.any(seq.symbols[:k])
+    return not np.count_nonzero(seq.symbols[:k])
 
 
 def _check_space(ns: int, length: int, max_space: int) -> int:
@@ -174,8 +178,14 @@ def _check_space(ns: int, length: int, max_space: int) -> int:
     return size
 
 
+# a few hundred bytes per space: room for both sides of a round trip and every
+# prefix width an order build's multisets grow through
+@lru_cache(maxsize=64)
 def _lex_places(ns: int, length: int) -> np.ndarray:
-    return ns ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    """The place values ``ns**(length-1), ..., ns, 1`` of a lex index, read-only ``int64``."""
+    places = ns ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    places.setflags(write=False)
+    return places
 
 
 def _digits_from_lex(lex, ns: int, length: int) -> np.ndarray:
@@ -377,26 +387,24 @@ def _space_order(ns: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     return order, rank
 
 
-def _lex_index(seq: Sequence) -> int:
-    return int(np.dot(seq.symbols, _lex_places(seq.ns, len(seq))))
-
-
 def _seq_from_lex_index(lex: int, ns: int, length: int) -> Sequence:
     return _trusted(Sequence, _digits_from_lex(lex, ns, length), ns)
 
 
-def _rerank(seq: Sequence, length: int, max_space: int) -> Sequence:
+def _rerank(seq: Sequence, n: int, length: int, max_space: int) -> Sequence:
     """The length-``length`` sequence at ``seq``'s rank in the (info, lex) order.
 
-    Raises :class:`NotInImageError` when that rank is ``ns**length`` or more.
+    ``n`` is ``len(seq)``.  Raises :class:`NotInImageError` when that rank is
+    ``ns**length`` or more.
     """
-    _check_space(seq.ns, max(len(seq), length), max_space)
-    _, rank = _space_order(seq.ns, len(seq))
-    r = int(rank[_lex_index(seq)])
-    if r >= seq.ns**length:
+    ns = seq.ns
+    _check_space(ns, max(n, length), max_space)
+    _, rank = _space_order(ns, n)
+    r = int(rank[seq.symbols @ _lex_places(ns, n)])
+    if r >= ns**length:
         raise NotInImageError("not in image")
-    order, _ = _space_order(seq.ns, length)
-    return _seq_from_lex_index(int(order[r]), seq.ns, length)
+    order, _ = _space_order(ns, length)
+    return _trusted(Sequence, order[r] // _lex_places(ns, length) % ns, ns)
 
 
 def transform_exact_sorted(seq: Sequence, k: int = 1, max_space: int = DEFAULT_MAX_SPACE) -> Sequence:
@@ -407,17 +415,19 @@ def transform_exact_sorted(seq: Sequence, k: int = 1, max_space: int = DEFAULT_M
     the ns^N cheapest-to-describe sequences of the longer space.
     """
     _check_k(k)
-    if len(seq) == 0:
+    n = len(seq)
+    if n == 0:
         raise ValueError("cannot shape an empty sequence")
-    return _rerank(seq, len(seq) + k, max_space)
+    return _rerank(seq, n, n + k, max_space)
 
 
 def inverse_exact_sorted(seq: Sequence, k: int = 1, max_space: int = DEFAULT_MAX_SPACE) -> Sequence:
     """Invert :func:`transform_exact_sorted`; raises outside the image."""
     _check_k(k)
-    if len(seq) <= k:
-        raise ValueError(f"shaped sequence must be longer than k={k}, got length {len(seq)}")
-    return _rerank(seq, len(seq) - k, max_space)
+    n = len(seq)
+    if n <= k:
+        raise ValueError(f"shaped sequence must be longer than k={k}, got length {n}")
+    return _rerank(seq, n, n - k, max_space)
 
 
 def transform(seq: Sequence, cfg: ShaperConfig) -> Sequence:

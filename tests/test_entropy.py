@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seqshape import (
+    DigitStream,
     Histogram,
     Sequence,
     entropy_length_product,
@@ -78,6 +79,49 @@ class TestSequenceValidation:
         assert seq([0, 1], 2) == seq([0, 1], 2)
         assert seq([0, 1], 2) != seq([0, 1], 3)
         assert seq([0, 1], 2) != seq([1, 0], 2)
+
+
+def digit_stream(values, ns):
+    return DigitStream(digits=values, ns=ns)
+
+
+def histogram_of(values, total):
+    return Histogram(counts=values, total=total)
+
+
+# the three int64-backed value types; the second argument is ns, or a histogram's total
+VALUE_TYPES = [seq, digit_stream, histogram_of]
+
+
+class TestValueEquality:
+    @pytest.mark.parametrize("make", VALUE_TYPES)
+    @pytest.mark.parametrize("length", [1, 9, 4096, 4097, 40000])
+    def test_equal_contents_compare_equal(self, make, length):
+        values = np.arange(length) % 3
+        assert make(values, 3) == make(values.tolist(), 3)
+        changed = values.copy()
+        changed[-1] = (changed[-1] + 1) % 3
+        assert make(values, 3) != make(changed, 3)
+
+    @pytest.mark.parametrize("make", VALUE_TYPES)
+    def test_differing_ns_or_total_compare_unequal(self, make):
+        assert make([0, 1], 2) != make([0, 1], 3)
+
+    @pytest.mark.parametrize("make", VALUE_TYPES)
+    @pytest.mark.parametrize("length", [2, 4096])
+    def test_differing_lengths_compare_unequal(self, make, length):
+        values = [0] * length
+        assert make(values, 2) != make(values + [0], 2)
+        assert make(values + [0], 2) != make(values, 2)
+
+    @pytest.mark.parametrize("make", VALUE_TYPES)
+    def test_other_types_are_not_implemented(self, make):
+        value = make([0, 1], 2)
+        others = [[0, 1], (0, 1), *(m([0, 1], 2) for m in VALUE_TYPES if m is not make)]
+        for other in others:
+            assert value.__eq__(other) is NotImplemented
+            assert value != other
+        assert value.__eq__(np.array([0, 1])) is NotImplemented
 
 
 class TestEntropyLengthProduct:

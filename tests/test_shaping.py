@@ -153,8 +153,12 @@ class TestAdaptiveTransform:
             inverse_adaptive(seq([1, 0, 0], 3))
 
     def test_is_in_image_examples(self):
+        # `is` also pins the type: a Python bool, not a numpy one
         assert is_in_image(seq([0, 0, 0, 0], 3)) is True
         assert is_in_image(seq([2, 0, 0], 3)) is False
+        assert is_in_image(seq([0, 0, 2], 3), 2) is True
+        assert is_in_image(seq([0, 2, 0], 3), 2) is False
+        assert type(is_in_image(seq([1, 0], 2))) is bool
 
     def test_image_fraction_exhaustive(self):
         members = [
@@ -297,6 +301,25 @@ class TestExactSortedTransform:
             shaped = transform_exact_sorted(seq(s_tuple, ns), k)
             assert tuple(shaped.symbols.tolist()) == y_tuple
 
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_matches_a_lookup_by_hand_up_to_2_16_sequences(self, data):
+        ns, length = data.draw(shape_within(1 << 16).filter(lambda shape: shape[1] >= 2))
+        k = data.draw(st.integers(1, length - 1))
+        symbols = data.draw(st.lists(st.integers(0, ns - 1), min_size=length - k, max_size=length - k))
+        lex = 0
+        for symbol in symbols:
+            lex = lex * ns + symbol
+        _, rank = shaping._space_order(ns, length - k)
+        order, _ = shaping._space_order(ns, length)
+        target, expected = int(order[int(rank[lex])]), []
+        for _ in range(length):
+            target, symbol = divmod(target, ns)
+            expected.insert(0, symbol)
+        shaped = transform_exact_sorted(seq(symbols, ns), k)
+        assert shaped == seq(expected, ns)
+        assert inverse_exact_sorted(shaped, k) == seq(symbols, ns)
+
 
 class TestOrderBuild:
     def test_memory_does_not_grow_with_alphabet(self):
@@ -410,6 +433,23 @@ class TestOrderBuild:
         finally:
             tracemalloc.stop()
         assert peak < 24 << 20
+
+
+class TestLexPlaces:
+    def test_cached_per_space(self):
+        assert shaping._lex_places(4, 9) is shaping._lex_places(4, 9)
+
+    def test_read_only(self):
+        places = shaping._lex_places(3, 5)
+        with pytest.raises(ValueError, match="read-only"):
+            places[0] = 1
+        assert places.tolist() == [81, 27, 9, 3, 1]
+
+    def test_matches_fresh_powers_for_every_space_up_to_4096_sequences(self):
+        for ns, length in shapes_within(1 << 12):
+            places = shaping._lex_places(ns, length)
+            assert places.dtype == np.int64, (ns, length)
+            assert np.array_equal(places, ns ** np.arange(length - 1, -1, -1, dtype=np.int64)), (ns, length)
 
 
 def brute_multisets(ns, width):
