@@ -1,13 +1,14 @@
 """Exact ground truth for small sequence spaces.
 
-:func:`sorted_space` and :func:`validate_strategy` enumerate full spaces
-outright: the sorted order, and every sequence of a source space driven
-through a strategy and checked against that order.  :func:`oracle_report`
-enumerates nothing: the averages an optimal shaper could reach follow from
-the type classes of both spaces, one per partition of the length.  The
-(information content, lexicographic) order is the one :mod:`seqshape.shaping`
-builds for the ``exact-sorted`` strategy; the tests check it and the report
-against an independent enumeration.
+:func:`sorted_space` lists a full space in its sorted order, and
+:func:`validate_strategy` drives every sequence of a source space through a
+strategy; for ``exact-sorted`` it then checks that the images are the
+cheapest sequences of the target space by their ranks, without listing that
+space.  :func:`oracle_report` enumerates nothing: the averages an optimal
+shaper could reach follow from the type classes of both spaces, one per
+partition of the length.  The (information content, lexicographic) order is
+the one :mod:`seqshape.shaping` tabulates for the ``exact-sorted`` strategy;
+the tests check it and the report against an independent enumeration.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -109,10 +109,13 @@ def sorted_space(ns: int, length: int, max_space: int = DEFAULT_MAX_SPACE) -> li
     """All length-``length`` sequences, cheapest information content first.
 
     Ties in information content keep lexicographic order, so the result is a
-    deterministic permutation of the full enumeration.
+    deterministic permutation of the full enumeration.  It costs
+    ``O(ns**length)`` time and memory: one class rank per sequence, gathered
+    from the exact-sorted order's tables, one stable argsort of them and one
+    tuple per sequence.
     """
     space_descriptor(ns, length, max_space)
-    order, _ = shaping._space_order(ns, length)
+    order = np.argsort(shaping._space_order(ns, length).class_ranks(), kind="stable")
     return _tuples(order, ns, length)
 
 
@@ -149,11 +152,15 @@ def _cut(runs: list[tuple[float, int]], size: int) -> list[tuple[float, int]]:
 def _average(runs: list[tuple[float, int]], size: int) -> float:
     """``math.fsum`` of the ``size`` values the runs hold, divided by ``size``.
 
-    The sum is exact, rounded once to a float and then divided in float, as
+    Each value is an integer over a power of two, so the sum is one exact
+    integer over the largest of them, rounded once to a float (integer true
+    division rounds correctly) and then divided in float, as
     ``math.fsum(values) / size`` does; rounding ``S / size`` in one step
     would give other bits.
     """
-    return float(sum(Fraction(value) * count for value, count in runs)) / size
+    ratios = [value.as_integer_ratio() for value, _ in runs]
+    scale = max(den for _, den in ratios)
+    return sum(num * (scale // den) * count for (num, den), (_, count) in zip(ratios, runs)) / scale / size
 
 
 def _successes(src: list[tuple[float, int]], tgt: list[tuple[float, int]]) -> int:
@@ -208,8 +215,10 @@ def validate_strategy(cfg: ShaperConfig, ns: int, n: int, max_space: int = DEFAU
 
     Verifies the round trip and pairwise-distinct images for any strategy;
     for ``exact-sorted`` additionally checks that the image set is exactly the
-    ns^n lowest-ordered target sequences.  The first failure is captured with
-    both offending sequences spelled out.
+    ns^n lowest-ordered target sequences: the images being distinct, that is
+    every image's target rank being below ns^n.  The first failure is
+    captured with both offending sequences spelled out; for the image set,
+    the lex-smallest missing and unexpected sequences.
     """
     if cfg.ns != ns:
         raise ValueError(f"config alphabet {cfg.ns} != requested alphabet {ns}")
@@ -244,14 +253,17 @@ def validate_strategy(cfg: ShaperConfig, ns: int, n: int, max_space: int = DEFAU
 
     image_matches = None
     if cfg.strategy == EXACT_SORTED and counterexample is None:
-        order, _ = shaping._space_order(ns, n + cfg.k)
-        expected = set(_tuples(order[: desc.size], ns, n + cfg.k))
-        image_matches = seen.keys() == expected
+        length = n + cfg.k
+        tables = shaping._space_order(ns, length)
+        lexes = np.array(list(seen), dtype=np.int64) @ shaping._lex_places(ns, length)
+        ranks = [tables.rank(lex) for lex in lexes.tolist()]
+        image_matches = max(ranks) < desc.size
         if not image_matches:
-            missing = sorted(expected - seen.keys())[:1]
-            extra = sorted(seen.keys() - expected)[:1]
+            hit = set(ranks)
+            missing = min(tuple(tables.unrank(r).tolist()) for r in range(desc.size) if r not in hit)
+            extra = min(image for image, r in zip(seen, ranks) if r >= desc.size)
             counterexample = (
-                f"image set differs from sorted prefix: missing {missing}, unexpected {extra}"
+                f"image set differs from sorted prefix: missing {[missing]}, unexpected {[extra]}"
             )
 
     return ValidationReport(

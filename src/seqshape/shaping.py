@@ -15,28 +15,20 @@ Two interchangeable strategies are provided:
   rank in the target space's order.  Exact but exponential: only usable while
   ns^(N+K) stays within the enumeration bound.
 
-The exact-sorted order of a space is built on first use and cached.  Every
-sequence of a type class (a partition of the length into at most ``ns``
-parts) has the same value, and a space within the enumeration bound has at
-most a few dozen classes.  So the build gives every sequence the rank of its
-class's value, one byte.  It reads the space in chunks of the sequences that
-share a head (all symbols but the last ``tail``), whose ranks depend only on
-the head's multiset and each tail's.  Once per build, the classes are
-ranked, and the tails and the heads are grouped by multiset, grown one
-symbol at a time; per batch of head multisets, merging each into every
-distinct tail multiset gives the ranks by tail multiset; per chunk, those
-ranks are copied out by each tail's multiset.  Nothing then sorts the whole
-space: a stable argsort of one chunk's ranks orders every chunk of its head
-multiset by class (small chunks are sorted a block at a time), and per-class
-counts place each chunk's class segments in the order.  The order and its
-inverse are ``int32``, ``int64`` only beyond 2^31 sequences.
-
-The place values of a space's lex indices (``ns**(length-1), ..., 1``) are
-cached per space too, so a later call is a dot product with them, one lookup
-in each side's order and one division by them.
+The exact-sorted order of a space is built on first use and cached as
+tables that rank and unrank without listing the space (the method of types:
+Cover 1973, "Enumerative source encoding").  A sequence's value depends only
+on its type class, a partition of the length into at most ``ns`` parts, and
+its class only on the multisets of its head (first symbols) and its tail.
+So per head multiset, tables give each tail's class and its place among the
+tails ordered by class, then lex; per class and head, a table gives where
+that head's sequences of that class start.  A later call is a dot product
+with the space's cached place values and a few table reads on each side.
 """
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -79,8 +71,8 @@ STRATEGIES = (ADAPTIVE_RANK, EXACT_SORTED)
 DEFAULT_MAX_SPACE = 1 << 24
 # lex indices and their place values are int64
 _MAX_LEX_INDEX = np.iinfo(np.int64).max
-# symbols merged per batch of the class-rank build, and sequences per block
-# of the order build: small enough that a step's work stays in cache
+# symbols merged, and table entries written, per batch of an order build:
+# small enough that a batch's work stays in cache
 _STEP = 1 << 14
 
 
@@ -225,18 +217,8 @@ def _multisets(ns: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return columns.T.copy(), ids
 
 
-def _chunk_shape(ns: int, length: int) -> tuple[int, int]:
-    """(head, tail) symbols of the order build's chunks.
-
-    A chunk is the ``ns**tail`` sequences sharing one head, contiguous in lex
-    order; ``tail`` is the largest with ``ns**tail <= 2**16``, and at least 1.
-    """
-    tail = max([1] + [t for t in range(1, length + 1) if ns**t <= 1 << 16])
-    return length - tail, tail
-
-
 def _index_dtype(size: int) -> type:
-    """``int32`` while it holds every lex index of ``size`` sequences, else ``int64``."""
+    """``int32`` while it holds every index into ``size`` entries, else ``int64``."""
     return np.int32 if size - 1 <= np.iinfo(np.int32).max else np.int64
 
 
@@ -267,124 +249,140 @@ def _type_classes(ns: int, length: int) -> tuple[dict[tuple[int, ...], int], np.
     return dict(zip(classes, ranks.tolist())), values
 
 
-def _info_by_lex_index(ns: int, length: int) -> np.ndarray:
-    """The class rank (see :func:`_type_classes`) of every length-``length`` sequence, in lex order.
+def _split(ns: int, length: int, values: int) -> int:
+    """The head width of :func:`_space_order`'s tables: the least table and merge work.
 
-    The ranks have the smallest unsigned dtype that holds them, ``uint8`` for
-    every space within the default enumeration bound.  A sequence's class
-    depends only on its multiset of symbols.  Each chunk is the ``ns**tail``
-    sequences sharing one head, contiguous in lex order, so a chunk's ranks
-    depend only on the head's multiset and each tail's.
+    ``M(w)`` multisets of ``w`` symbols give ``M(head) * ns**tail`` class and
+    place entries, ``values * ns**head`` starts, ``head * ns**head + tail *
+    ns**tail`` digits and ``M(head) * M(tail) * length`` merged symbols.
+    """
 
-    * Once per build, the classes are ranked, and the tails and the heads
-      are grouped by multiset.
-    * Per batch of head multisets (up to ``_STEP`` merged symbols), each is
-      merged into each distinct tail multiset.  A sorted row changes value
-      at a set of positions (a ``length - 1`` bit key); the runs between
-      them are the row's nonzero counts, its class.  Each key's rank is
-      worked out once per build.
-    * Once per chunk, the ranks are copied out by each tail's multiset
-      (one gather, written to every chunk with that head multiset).
+    def work(head: int) -> int:
+        tail = length - head
+        heads, tails = math.comb(head + ns - 1, head), math.comb(tail + ns - 1, tail)
+        return heads * (ns**tail + tails * length) + values * ns**head + head * ns**head + tail * ns**tail
 
+    return min(range(length + 1), key=work)
+
+
+@dataclass(frozen=True, eq=False)
+class _Tables:
+    """The (info, lex) order of one space, factored over heads and tails.
+
+    Lex index ``h * tail_size + t`` has head ``h`` and tail ``t``; head ``h``'s
+    multiset owns the row of the flat tables ``cls``, ``tails`` and ``pos``
+    starting at ``rows[h]``.  For ``i = rows[h] + t`` and ``H = len(rows)``:
+    ``cls[i]`` is the class rank (see :func:`_type_classes`) of ``(h, t)``; a
+    row of ``tails`` lists its tails by class, then lex, and ``pos[i]`` is
+    ``t``'s place there; ``base[v * H + h]`` (never decreasing) is where head
+    ``h``'s class-``v`` sequences start in the order, and ``start[v * H + h]``
+    is that less the place of the row's first class-``v`` tail.  So ``(h, t)``
+    has rank ``start[cls[i] * H + h] + pos[i]``.  ``head_digits[h]`` and
+    ``tail_digits[t]`` are their symbols as native ``int64`` bytes.  A warm
+    call makes a few lookups, where numpy's per-call cost would dominate, so
+    they read Python ints and bytes from lists and from memoryviews of
+    read-only arrays.
+    """
+
+    tail_size: int
+    rows: list[int]
+    cls: memoryview
+    tails: memoryview
+    pos: memoryview
+    base: memoryview
+    start: memoryview
+    head_digits: list[bytes]
+    tail_digits: list[bytes]
+
+    def rank(self, lex: int) -> int:
+        """The rank of the sequence with lex index ``lex``."""
+        h, t = divmod(lex, self.tail_size)
+        i = self.rows[h] + t
+        return self.start[self.cls[i] * len(self.rows) + h] + self.pos[i]
+
+    def unrank(self, r: int) -> np.ndarray:
+        """The symbols of the rank-``r`` sequence, a read-only ``int64`` array."""
+        j = bisect_right(self.base, r) - 1
+        h = j % len(self.rows)
+        t = self.tails[self.rows[h] + r - self.start[j]]
+        return np.frombuffer(self.head_digits[h] + self.tail_digits[t], dtype=np.int64)
+
+    def class_ranks(self) -> np.ndarray:
+        """The class rank of every sequence, in lex order: ``O(ns**length)`` memory."""
+        return np.asarray(self.cls)[np.add.outer(self.rows, range(self.tail_size))].ravel()
+
+
+def _digit_rows(ns: int, width: int) -> list[bytes]:
+    """The symbols of each ``width``-symbol sequence, in lex order, as native ``int64`` bytes."""
+    data, size = _digits_from_lex(np.arange(ns**width)[:, None], ns, width).tobytes(), 8 * width
+    return [data[i * size : (i + 1) * size] for i in range(ns**width)]
+
+
+# every caller uses one (n, n+k) pair at a time
+@lru_cache(maxsize=2)
+def _space_order(ns: int, length: int) -> _Tables:
+    """The tables (see :class:`_Tables`) of the (info, lex) total order on all sequences.
+
+    :func:`_split` picks the head width, and the heads and tails are grouped
+    by multiset (:func:`_multisets`).  Per batch of head multisets (up to
+    ``_STEP`` merged symbols and table entries), each is merged into each
+    distinct tail multiset: a sorted row's change positions form a
+    ``length - 1`` bit key, its runs are its class, and each key is ranked
+    once per build.  The ranks are gathered by each tail's multiset into
+    ``cls``, argsorted row by row into ``tails`` and ``pos`` and counted by
+    class; cumulative sums of the counts give ``base`` and ``start``.
     Requires ``length >= 1``.
     """
-    head, tail = _chunk_shape(ns, length)
-    tails, tid = _multisets(ns, tail)
-    heads, hid = _multisets(ns, head)
-    bits = 1 << np.arange(length - 1, dtype=np.int64)
     class_rank, values = _type_classes(ns, length)
-    dtype = np.min_scalar_type(values.size - 1)
+    head = _split(ns, length, values.size)
+    tail_sets, tid = _multisets(ns, length - head)
+    head_sets, hid = _multisets(ns, head)
+    bits = 1 << np.arange(length - 1, dtype=np.int64)
 
     @lru_cache(maxsize=None)
     def rank(key: int) -> int:
         ends = [j + 1 for j in range(length - 1) if key >> j & 1] + [length]
         return class_rank[tuple(sorted(b - a for a, b in zip([0, *ends], ends)))]
 
-    codes = np.empty((hid.size, tid.size), dtype=dtype)
-    groups = np.split(np.argsort(hid), np.cumsum(np.bincount(hid))[:-1])
-    per = max(1, _STEP // (len(tails) * length))
+    rows, width, classes = len(head_sets), tid.size, values.size
+    cls = np.empty(rows * width, dtype=np.min_scalar_type(classes - 1))
+    tails = np.empty(rows * width, dtype=_index_dtype(width))
+    pos = np.empty_like(tails)
+    counts = np.empty((rows, classes), dtype=np.int64)
+    per = max(1, min(_STEP // (len(tail_sets) * length), _STEP // width))
+    starts = np.arange(0, rows * width, width)[:, None]
+    places = np.tile(np.arange(width, dtype=tails.dtype), per)
     # pair p of a batch's (head, tail) multisets shifted by p*ns: one flat
-    # stable sort of two sorted runs merges every pair, where a row-wise sort
-    # pays per row
-    shift = np.arange(per * len(tails), dtype=np.int64).reshape(per, -1, 1) * ns
-    shifted_tails = (tails + shift).ravel()
-    for i in range(0, len(heads), per):
-        batch = heads[i : i + per]
-        shifted_heads = (batch[:, None] + shift[: len(batch)]).ravel()
-        merged = np.sort(np.concatenate([shifted_tails[: len(batch) * tails.size], shifted_heads]), kind="stable")
-        ordered = merged.reshape(-1, length)
-        keys, inverse = np.unique((ordered[:, 1:] != ordered[:, :-1]) @ bits, return_inverse=True)
-        ranks = np.array([rank(key) for key in keys.tolist()], dtype=dtype)[inverse].reshape(len(batch), -1)
-        for row, group in zip(ranks, groups[i : i + per]):
-            codes[group] = row[tid]
-    return codes.ravel()
-
-
-# every caller uses one (n, n+k) pair at a time; a space at the default
-# bound holds 128 MiB of (order, rank), so keep no more than that pair
-@lru_cache(maxsize=2)
-def _space_order(ns: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """(order, rank) arrays of the (info, lex) total order on all sequences.
-
-    ``order[r]`` is the lex index of the rank-r sequence; ``rank`` is the
-    inverse permutation.  Both are ``int32`` up to 2^31 sequences (see
-    :func:`_index_dtype`).  Nothing sorts the whole space: it is read from
-    :func:`_info_by_lex_index`'s class ranks in blocks of lex-consecutive
-    chunks (:func:`_chunk_shape`), one chunk or up to ``_STEP`` sequences,
-    taken head multiset by head multiset.
-
-    * Once per block, its classes are counted.  ``base[b, c]``, the
-      sequences of lower classes plus those of class ``c`` in blocks before
-      ``b``, is where block ``b``'s class-``c`` sequences start in ``order``.
-    * Once per block, or once per head multiset when blocks are one chunk
-      (the chunks of one head multiset hold the same ranks), a stable argsort
-      of its ranks (``perm``) orders the block by class, then lex.
-    * Per block, class ``c``'s segment of ``perm`` plus the block's first
-      lex index is copied to ``order`` at ``base[b, c]``, and the sequence
-      at place ``i`` of ``perm``, of class ``c``, gets the rank
-      ``base[b, c] - (start of c in perm) + i``.
-    """
-    codes = _info_by_lex_index(ns, length)
-    head, tail = _chunk_shape(ns, length)
-    width = ns**tail
-    chunks = codes.reshape(-1, width)
-    _, hid = _multisets(ns, head)
-    members = np.argsort(hid, kind="stable")  # chunks grouped by head multiset
-    # a block is up to `step` chunks, lex-consecutive and in `members` order
-    step = max(1, _STEP // width)
-    runs = np.split(members, np.flatnonzero(np.diff(members) != 1) + 1)
-    blocks = [(first, min(first + step, int(run[-1]) + 1)) for run in runs for first in run[::step].tolist()]
-    # a one-chunk block after one of the same head multiset reuses its counts and sort
-    shared = [int(hid[first]) if stop - first == 1 else None for first, stop in blocks]
-    fresh = [i == 0 or multiset is None or multiset != shared[i - 1] for i, multiset in enumerate(shared)]
-    classes = int(codes.max()) + 1
-    counts = np.empty((len(blocks), classes), dtype=np.int64)
-    for i, (first, stop) in enumerate(blocks):
-        counts[i] = np.bincount(chunks[first:stop].ravel(), minlength=classes) if fresh[i] else counts[i - 1]
-    in_lex = np.argsort([first for first, _ in blocks])
-    earlier = np.empty_like(counts)
-    earlier[in_lex] = np.cumsum(counts[in_lex], axis=0) - counts[in_lex]
-    totals = counts.sum(axis=0)
-    base = np.cumsum(totals) - totals + earlier
-    starts = np.cumsum(counts, axis=1) - counts
-    dtype = _index_dtype(codes.size)
-    offsets = (base - starts).astype(dtype)
-    positions = np.arange(min(step, chunks.shape[0]) * width, dtype=dtype)
-    order = np.empty(codes.size, dtype=dtype)
-    rank = np.empty(codes.size, dtype=dtype)
-    for (first, stop), new, offset, at, sizes, froms in zip(
-        blocks, fresh, offsets, base.tolist(), counts.tolist(), starts.tolist()
-    ):
-        if new:
-            perm = np.argsort(chunks[first:stop].ravel(), kind="stable")
-            in_block = perm.astype(dtype)  # for copies into order
-        rank[first * width : stop * width][perm] = np.repeat(offset, sizes) + positions[: perm.size]
-        for begin, size, start in zip(at, sizes, froms):
-            if size:
-                np.add(in_block[start : start + size], first * width, out=order[begin : begin + size])
-    order.setflags(write=False)
-    rank.setflags(write=False)
-    return order, rank
+    # stable sort of a few sorted runs (the tails, then each head position
+    # across the pairs) merges every pair, where a row-wise sort pays per row
+    shift = np.arange(per * len(tail_sets), dtype=np.int64).reshape(per, -1) * ns
+    shifted_tails = (tail_sets + shift[:, :, None]).ravel()
+    # change flags as 0/1 int64: their matmul with the bit weights is exact and
+    # about twice as fast as a bool matmul
+    changed = np.zeros(per * len(tail_sets) * length, dtype=np.int64)
+    for i in range(0, rows, per):
+        batch = head_sets[i : i + per]
+        n, at = len(batch), slice(i * width, (i + len(batch)) * width)
+        shifted_heads = (batch.T[:, :, None] + shift[:n]).ravel()
+        merged = np.sort(np.concatenate([shifted_tails[: n * tail_sets.size], shifted_heads]), kind="stable")
+        np.not_equal(merged[1:], merged[:-1], out=changed[: merged.size - 1], casting="unsafe")
+        keys, inverse = np.unique(changed[: merged.size].reshape(-1, length)[:, :-1] @ bits, return_inverse=True)
+        ranks = np.array([rank(key) for key in keys.tolist()], dtype=cls.dtype)[inverse].reshape(n, -1)
+        block = np.take(ranks, tid, axis=1, out=cls[at].reshape(n, width))
+        sort = np.argsort(block, axis=1, kind="stable")
+        tails[at] = sort.ravel()
+        sort += starts[i : i + n]
+        pos[sort.ravel()] = places[: n * width]
+        flat = (block + np.arange(0, n * classes, classes)[:, None]).ravel()
+        counts[i : i + n] = np.bincount(flat, minlength=n * classes).reshape(-1, classes)
+    per_head = counts.T[:, hid]  # (class, head)
+    total = per_head.sum(axis=1)
+    base = (np.cumsum(per_head, axis=1) - per_head + (np.cumsum(total) - total)[:, None]).ravel()
+    start = base - (np.cumsum(counts, axis=1) - counts).T[:, hid].ravel()
+    for array in (cls, tails, pos, base, start):
+        array.setflags(write=False)
+    views = (memoryview(array) for array in (cls, tails, pos, base, start))
+    return _Tables(width, (hid * width).tolist(), *views, _digit_rows(ns, head), _digit_rows(ns, length - head))
 
 
 def _seq_from_lex_index(lex: int, ns: int, length: int) -> Sequence:
@@ -399,12 +397,10 @@ def _rerank(seq: Sequence, n: int, length: int, max_space: int) -> Sequence:
     """
     ns = seq.ns
     _check_space(ns, max(n, length), max_space)
-    _, rank = _space_order(ns, n)
-    r = int(rank[seq.symbols @ _lex_places(ns, n)])
+    r = _space_order(ns, n).rank(int(seq.symbols @ _lex_places(ns, n)))
     if r >= ns**length:
         raise NotInImageError("not in image")
-    order, _ = _space_order(ns, length)
-    return _trusted(Sequence, order[r] // _lex_places(ns, length) % ns, ns)
+    return _trusted(Sequence, _space_order(ns, length).unrank(r), ns)
 
 
 def transform_exact_sorted(seq: Sequence, k: int = 1, max_space: int = DEFAULT_MAX_SPACE) -> Sequence:

@@ -21,6 +21,25 @@ def seq(symbols, ns):
 
 
 def built_info(ns, length):
-    """Every sequence's value in lex order: the order build's class ranks looked up in the class list."""
+    """Every sequence's value in lex order: the order tables' class ranks looked up in the class list."""
     _, values = shaping._type_classes(ns, length)
-    return values[shaping._info_by_lex_index(ns, length)]
+    return values[shaping._space_order(ns, length).class_ranks()]
+
+
+def materialised(tables, size):
+    """The whole-space ``(order, rank)`` the tables describe, ``int64``.
+
+    The rank and unrank formulas of ``shaping._Tables``, applied to every
+    lex index and every rank at once.
+    """
+    rows, cls, tails, pos, base, start = (
+        np.asarray(a) for a in (tables.rows, tables.cls, tables.tails, tables.pos, tables.base, tables.start)
+    )
+    heads, (h, t) = rows.size, divmod(np.arange(size), tables.tail_size)
+    i = rows[h] + t
+    rank = start[cls[i].astype(np.int64) * heads + h] + pos[i]
+    r = np.arange(size)
+    j = np.searchsorted(base, r, "right") - 1
+    h = j % heads
+    order = h * tables.tail_size + tails[rows[h] + r - start[j]]
+    return order, rank

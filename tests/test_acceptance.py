@@ -14,6 +14,7 @@ import pytest
 from seqshape import (
     EXACT_SORTED,
     NotInImageError,
+    RankState,
     Sequence,
     ShaperConfig,
     SourceSpec,
@@ -29,6 +30,7 @@ from seqshape import (
     run_experiment,
     sample,
     sweep_table1,
+    to_digits,
     transform,
     transform_adaptive,
     transform_exact_sorted,
@@ -292,9 +294,19 @@ def test_criterion_8_linear_time_scaling():
         gc.enable()
     t_small, t_large = map(min, times)
     ratio = t_large / t_small
+
+    # the same scaling counted, free of the machine's load: the codec's order
+    # comparisons per encoded symbol
+    per_symbol = []
+    for s in (small, large):
+        state = RankState(ns)
+        to_digits(s, state)
+        per_symbol.append(state.comparisons / len(s))
+    drift = per_symbol[1] / per_symbol[0] - 1
     _report(
         8,
         "transform cost scales linearly with length",
-        8.0 <= ratio <= 12.0,
-        f"fastest call {t_small*1e3:.2f}ms @4k vs {t_large*1e3:.2f}ms @40k, ratio {ratio:.2f}",
+        8.0 <= ratio <= 12.0 and abs(drift) <= 0.01,
+        f"fastest call {t_small*1e3:.2f}ms @4k vs {t_large*1e3:.2f}ms @40k, ratio {ratio:.2f}; "
+        f"comparisons per symbol {per_symbol[0]:.5f} @4k vs {per_symbol[1]:.5f} @40k",
     )

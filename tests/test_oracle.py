@@ -189,15 +189,15 @@ class TestOracleReport:
         def no_enumeration(*args):
             raise AssertionError("oracle_report enumerated a space")
 
-        monkeypatch.setattr(shaping, "_info_by_lex_index", no_enumeration)
         monkeypatch.setattr(shaping, "_space_order", no_enumeration)
+        monkeypatch.setattr(shaping, "_multisets", no_enumeration)
         assert report_hex(oracle_report(2, 23, 1)) == ORACLE_2_23_1_HEX
 
     def test_empty_source_rejected_before_building(self, monkeypatch):
         def no_build(ns, length):
             raise AssertionError("order built for an empty source")
 
-        monkeypatch.setattr(oracle_mod.shaping, "_info_by_lex_index", no_build)
+        monkeypatch.setattr(oracle_mod.shaping, "_space_order", no_build)
         with pytest.raises(ValueError, match="length must be >= 1"):
             oracle_report(3, 0, 1)
 

@@ -31,7 +31,7 @@ from seqshape import (
 )
 from seqshape import shaping
 
-from conftest import built_info, seq
+from conftest import built_info, materialised, seq
 from reference_impl import ref_exact_sorted_map, ref_inverse_adaptive, ref_transform_adaptive
 
 
@@ -43,8 +43,9 @@ def random_sequences(max_ns=64, max_len=200):
     )
 
 
-# sha256 of the little-endian int64 bytes of _space_order's (order, rank),
-# taken from the parent commit of the per-multiset order build
+# sha256 of the little-endian int64 bytes of the (order, rank) arrays of the
+# exact-sorted order, taken from the parent commit of the per-multiset order
+# build (which built them whole); now materialised from the order's tables
 SPACE_ORDER_SHA256 = {
     (4, 9): (
         "96db0293a731d1e5a90ba1166e3d3edac595c84db5a21549514812953074553d",
@@ -96,12 +97,25 @@ def counted_info(ns, length):
 
 
 def assert_order_matches_counts(ns, length):
-    """``_space_order`` is a stable argsort of ``counted_info``, and ``rank`` its inverse."""
-    order, rank = shaping._space_order(ns, length)
+    """The order's tables rank and unrank as a stable argsort of ``counted_info`` orders the space.
+
+    Every lex index and rank through the tables' formulas (``materialised``),
+    and the scalar lookups a transform makes on up to 64 ranks spread over
+    the space, first and last among them.
+    """
+    tables = shaping._space_order(ns, length)
+    size = ns**length
     expected = np.argsort(counted_info(ns, length), kind="stable")
-    assert order.dtype == rank.dtype == np.int32, (ns, length)
+    order, rank = materialised(tables, size)
     assert np.array_equal(order, expected), (ns, length)
-    assert np.array_equal(rank[order], np.arange(ns**length)), (ns, length)
+    assert np.array_equal(rank[expected], np.arange(size)), (ns, length)
+    ranks = np.unique(np.linspace(0, size - 1, 64).astype(np.int64))
+    rows = np.stack(np.unravel_index(expected[ranks], (ns,) * length), axis=1)
+    for r, lex, row in zip(ranks.tolist(), expected[ranks].tolist(), rows.tolist()):
+        assert tables.rank(lex) == r, (ns, length, r)
+        symbols = tables.unrank(r)
+        assert symbols.dtype == np.int64 and not symbols.flags.writeable, (ns, length, r)
+        assert symbols.tolist() == row, (ns, length, r)
 
 
 def class_counts(per_position):
@@ -310,9 +324,10 @@ class TestExactSortedTransform:
         lex = 0
         for symbol in symbols:
             lex = lex * ns + symbol
-        _, rank = shaping._space_order(ns, length - k)
-        order, _ = shaping._space_order(ns, length)
-        target, expected = int(order[int(rank[lex])]), []
+        # both orders by hand: stable argsorts of every sequence's counted value
+        source_order = np.argsort(counted_info(ns, length - k), kind="stable")
+        target_order = np.argsort(counted_info(ns, length), kind="stable")
+        target, expected = int(target_order[int(np.flatnonzero(source_order == lex)[0])]), []
         for _ in range(length):
             target, symbol = divmod(target, ns)
             expected.insert(0, symbol)
@@ -323,11 +338,11 @@ class TestExactSortedTransform:
 
 class TestOrderBuild:
     def test_memory_does_not_grow_with_alphabet(self):
-        # the output is 90000 one-byte class ranks; a per-chunk (rows x ns)
-        # count matrix would take hundreds of MiB here
+        # the tables hold 300 x 300 class ranks and places; a per-chunk
+        # (rows x ns) count matrix would take hundreds of MiB here
         tracemalloc.start()
         try:
-            shaping._info_by_lex_index(300, 2)
+            shaping._space_order.__wrapped__(300, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -343,7 +358,7 @@ class TestOrderBuild:
             return info_from_sorted_counts(counts)
 
         monkeypatch.setattr(shaping, "info_from_sorted_counts", counting)
-        shaping._info_by_lex_index(ns, length)
+        shaping._space_order.__wrapped__(ns, length)
         assert len(calls) == classes
         assert len(set(calls)) == classes
 
@@ -353,11 +368,15 @@ class TestOrderBuild:
         for ns, length in shapes:
             assert built_info(ns, length).tobytes() == counted_info(ns, length).tobytes(), (ns, length)
 
-    # tail, head: 16, 0 | 16, 1 | 16, 2 | 16, 3 | 8, 0 | 8, 1 | 10, 2 |
-    # 5, 2 | 4, 0 | 4, 1 | 2, 0 | 1, 1 (ns**tail <= 2**16 < ns**(tail + 1))
+    # both sides of the earlier chunk rule (ns**tail <= 2**16 < ns**(tail + 1)):
+    # (2, 16) to (300, 2); then both sides of a change of the tables' head
+    # width (see shaping._split): 0 -> 1, 1 -> 2 -> 3, 5 -> 6, 1 -> 2, 0 -> 1
     @pytest.mark.parametrize(
         "ns,length",
-        [(2, 16), (2, 17), (2, 18), (2, 19), (4, 8), (4, 9), (3, 12), (7, 7), (16, 4), (16, 5), (256, 2), (300, 2)],
+        [
+            (2, 16), (2, 17), (2, 18), (2, 19), (4, 8), (4, 9), (3, 12), (7, 7), (16, 4), (16, 5), (256, 2), (300, 2),
+            (2, 2), (2, 3), (4, 3), (4, 4), (4, 5), (3, 10), (3, 11), (16, 2), (16, 3), (256, 1),
+        ],
     )
     def test_matches_counts_on_both_sides_of_the_chunk_boundary(self, ns, length):
         assert built_info(ns, length).tobytes() == counted_info(ns, length).tobytes()
@@ -370,7 +389,9 @@ class TestOrderBuild:
 
     @pytest.mark.parametrize("ns,length", [(4, 10), (2, 20), (300, 2)])
     def test_class_ranks_are_one_byte(self, ns, length):
-        codes = shaping._info_by_lex_index(ns, length)
+        tables = shaping._space_order(ns, length)
+        assert tables.cls.format == "B"
+        codes = tables.class_ranks()
         assert codes.dtype == np.uint8
         assert codes.size == ns**length
 
@@ -396,23 +417,30 @@ class TestOrderBuild:
 
     @pytest.mark.parametrize("shape", sorted(SPACE_ORDER_SHA256))
     def test_space_order_bytes_pinned(self, shape):
-        order, rank = shaping._space_order(*shape)
+        order, rank = materialised(shaping._space_order(*shape), shape[0] ** shape[1])
         digests = tuple(hashlib.sha256(a.astype("<i8").tobytes()).hexdigest() for a in (order, rank))
         assert digests == SPACE_ORDER_SHA256[shape]
 
-    def test_memory_of_a_whole_order(self):
-        # (2, 20): order and rank are 4 MiB each as int32 and the class ranks
-        # 1 MiB; int64 arrays, or a global argsort's int64 output, peak near
-        # 24 MiB
+    # (4, 9) -> (4, 10) and (2, 19) -> (2, 20): an int32 order and rank of the
+    # target space alone would be 8 MiB; a build through whole-space arrays
+    # peaks at 12.6 and 14.5 MiB in this test
+    @pytest.mark.parametrize("ns,n", [(4, 9), (2, 19)])
+    def test_memory_of_a_first_exact_sorted_call(self, ns, n):
+        source = seq(np.arange(n) % ns, ns)
+        shaping._space_order.cache_clear()
         tracemalloc.start()
         try:
-            shaping._space_order.cache_clear()
-            shaping._space_order(2, 20)
+            transform_exact_sorted(source)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
             shaping._space_order.cache_clear()
-        assert peak < 16 << 20
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize("shape", [(3, 9), (2, 20), (256, 2)])
+    def test_tables_are_read_only(self, shape):
+        tables = shaping._space_order(*shape)
+        assert all(view.readonly for view in (tables.cls, tables.tails, tables.pos, tables.base, tables.start))
 
     @pytest.mark.parametrize(
         "size,dtype",
@@ -421,18 +449,6 @@ class TestOrderBuild:
     def test_index_dtype_holds_every_lex_index(self, size, dtype):
         # the largest lex index is size - 1; int32 holds up to 2**31 - 1
         assert shaping._index_dtype(size) is dtype
-
-    def test_memory_of_a_many_chunk_space(self):
-        # (2, 20): the 65536 x 16 tail block is 8 MiB and the output of
-        # one-byte class ranks 1 MiB; a build that also keeps per-chunk copies
-        # of the block peaks near 40 MiB
-        tracemalloc.start()
-        try:
-            shaping._info_by_lex_index(2, 20)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 24 << 20
 
 
 class TestLexPlaces:
