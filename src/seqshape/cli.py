@@ -52,28 +52,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one seeded shaping experiment")
+    # the options every experiment shares, declared once for ``run`` and ``sweep``
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--trials", type=int, default=1000)
+    experiment.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
+    experiment.add_argument("--strategy", choices=STRATEGIES, default=ADAPTIVE_RANK)
+    experiment.add_argument("--k", type=int, default=1, help="shaping order (length increase)")
+    experiment.add_argument("--workers", type=int, default=1)
+    experiment.add_argument("--out", default=None, help="write results to this path")
+    experiment.add_argument("--format", choices=("csv", "json"), default="json")
+
+    run = sub.add_parser("run", parents=[experiment], help="run one seeded shaping experiment")
     run.add_argument("--ns", type=int, required=True, help="alphabet size")
     run.add_argument("--len", type=int, required=True, dest="n", help="sequence length")
     run.add_argument("--pmax", type=float, required=True, help="probability of the favored symbol")
-    run.add_argument("--trials", type=int, default=1000)
-    run.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
-    run.add_argument("--strategy", choices=STRATEGIES, default=ADAPTIVE_RANK)
-    run.add_argument("--k", type=int, default=1, help="shaping order (length increase)")
-    run.add_argument("--workers", type=int, default=1)
-    run.add_argument("--out", default=None, help="write results to this path")
-    run.add_argument("--format", choices=("csv", "json"), default="json")
 
-    sweep = sub.add_parser("sweep", help="run the reference benchmark grid")
+    sweep = sub.add_parser("sweep", parents=[experiment], help="run the reference benchmark grid")
     sweep.add_argument("--table1", action="store_true", required=True,
                        help="the ns in {30,40,50,60}, len 400, pmax 0.5 grid")
-    sweep.add_argument("--trials", type=int, default=1000)
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--strategy", choices=STRATEGIES, default=ADAPTIVE_RANK)
-    sweep.add_argument("--k", type=int, default=1)
-    sweep.add_argument("--workers", type=int, default=1)
-    sweep.add_argument("--out", default=None)
-    sweep.add_argument("--format", choices=("csv", "json"), default="json")
 
     oracle = sub.add_parser("oracle", help="exact optimal-shaping statistics from type classes")
     oracle.add_argument("--ns", type=int, required=True)

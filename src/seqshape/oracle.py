@@ -5,23 +5,21 @@
 strategy; for ``exact-sorted`` it then checks that the images are the
 cheapest sequences of the target space by their ranks, without listing that
 space.  :func:`oracle_report` enumerates nothing: the averages an optimal
-shaper could reach follow from the type classes of both spaces, one per
-partition of the length.  The (information content, lexicographic) order is
-the one :mod:`seqshape.shaping` tabulates for the ``exact-sorted`` strategy;
-the tests check it and the report against an independent enumeration.
+shaper could reach follow from the type-class table of both spaces, the one
+that ranks the classes of the (information content, lexicographic) order
+:mod:`seqshape.shaping` tabulates for ``exact-sorted``; the tests check the
+order and the report against an independent enumeration.
 """
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from . import shaping
-from .entropy import _check_integer, _check_ns, info_from_sorted_counts
+from .entropy import _check_integer, _check_ns
 from .shaping import (
     DEFAULT_MAX_SPACE,
     EXACT_SORTED,
@@ -119,38 +117,16 @@ def sorted_space(ns: int, length: int, max_space: int = DEFAULT_MAX_SPACE) -> li
     return _tuples(order, ns, length)
 
 
-def _info_runs(ns: int, length: int) -> list[tuple[float, int]]:
-    """The sorted information contents of all ``ns**length`` sequences, as (value, count) runs.
-
-    Every sequence of one type class has the same value, so the space is the
-    partitions P of ``length`` into at most ``ns`` parts: P holds
-    ``ns!/((ns-m)! prod mult_j!)`` count vectors (m parts, ``mult_j`` parts
-    equal to j), each with ``length!/prod p_i!`` sequences (Cover 1973,
-    "Enumerative source encoding").  The value comes from the same scalar the
-    (info, lex) order uses, so it is bit-identical to that order's key.
-    """
-    runs: dict[float, int] = {}
-    for part in shaping._partitions(length, ns, length):
-        labelings = math.perm(ns, len(part)) // math.prod(map(math.factorial, Counter(part).values()))
-        sequences = math.factorial(length) // math.prod(map(math.factorial, part))
-        value = info_from_sorted_counts(tuple(sorted(part)))
-        runs[value] = runs.get(value, 0) + labelings * sequences
-    return sorted(runs.items())
+def _runs(ns: int, length: int, size: int) -> tuple[list[float], list[int]]:
+    """The ``size`` lowest values of a space's type-class table: each value, and where its run of ranks ends."""
+    _, values, counts = shaping._type_classes(ns, length)
+    ends = list(accumulate(counts))
+    cut = bisect_left(ends, size)
+    return values[: cut + 1], [*ends[:cut], size]
 
 
-def _cut(runs: list[tuple[float, int]], size: int) -> list[tuple[float, int]]:
-    """The runs of the ``size`` lowest values."""
-    out = []
-    for value, count in runs:
-        if size <= 0:
-            break
-        out.append((value, min(count, size)))
-        size -= count
-    return out
-
-
-def _average(runs: list[tuple[float, int]], size: int) -> float:
-    """``math.fsum`` of the ``size`` values the runs hold, divided by ``size``.
+def _average(values: list[float], ends: list[int]) -> float:
+    """``math.fsum`` of the values the runs hold, divided by their number.
 
     Each value is an integer over a power of two, so the sum is one exact
     integer over the largest of them, rounded once to a float (integer true
@@ -158,22 +134,21 @@ def _average(runs: list[tuple[float, int]], size: int) -> float:
     ``math.fsum(values) / size`` does; rounding ``S / size`` in one step
     would give other bits.
     """
-    ratios = [value.as_integer_ratio() for value, _ in runs]
+    ratios = [value.as_integer_ratio() for value in values]
     scale = max(den for _, den in ratios)
-    return sum(num * (scale // den) * count for (num, den), (_, count) in zip(ratios, runs)) / scale / size
+    total = sum(num * (scale // den) * (end - start) for (num, den), start, end in zip(ratios, [0, *ends], ends))
+    return total / scale / ends[-1]
 
 
-def _successes(src: list[tuple[float, int]], tgt: list[tuple[float, int]]) -> int:
+def _successes(src_values: list[float], src_ends: list[int], tgt_values: list[float], tgt_ends: list[int]) -> int:
     """The ranks at which the target value is strictly below the source value.
 
-    Both run lists cover the same ranks; between consecutive run ends of
-    either list both values are constant.
+    Both runs cover the same ranks; between consecutive run ends of either
+    both values are constant.
     """
-    src_ends = list(accumulate(count for _, count in src))
-    tgt_ends = list(accumulate(count for _, count in tgt))
     successes = start = 0
     for end in sorted({*src_ends, *tgt_ends}):
-        if tgt[bisect_right(tgt_ends, start)][0] < src[bisect_right(src_ends, start)][0]:
+        if tgt_values[bisect_right(tgt_ends, start)] < src_values[bisect_right(src_ends, start)]:
             successes += end - start
         start = end
     return successes
@@ -184,21 +159,21 @@ def oracle_report(ns: int, n: int, k: int, max_space: int = DEFAULT_MAX_SPACE) -
 
     Only the sorted information contents matter, not which sequence holds
     each one, and every sequence of a type class has the same content: both
-    spaces are summed as (value, count) runs over the partitions of the
-    length (Cover 1973, "Enumerative source encoding"; the method of types),
-    never enumerated.  Each average is the exact sum of the values, rounded
-    once to a float, divided by ns^n: bit for bit ``math.fsum`` over the
-    sorted per-sequence values divided by ns^n.  Both spaces must still lie
-    within the enumeration bound ``max_space``.
+    spaces are summed as runs of the type-class table (Cover 1973,
+    "Enumerative source encoding"; the method of types), never enumerated.
+    Each average is the exact sum of the values, rounded once to a float,
+    divided by ns^n: bit for bit ``math.fsum`` over the sorted per-sequence
+    values divided by ns^n.  Both spaces must still lie within the
+    enumeration bound ``max_space``.
     """
-    shaping._check_k(k)
-    space_descriptor(ns, n, max_space)
+    k = shaping._check_k(k)
+    desc = space_descriptor(ns, n, max_space)
+    ns, n, size = desc.ns, desc.length, desc.size
     space_descriptor(ns, n + k, max_space)
-    size = ns**n
-    src = _info_runs(ns, n)
-    tgt = _cut(_info_runs(ns, n + k), size)
-    avg_source = _average(src, size)
-    avg_shaped = _average(tgt, size)
+    src = _runs(ns, n, size)
+    tgt = _runs(ns, n + k, size)
+    avg_source = _average(*src)
+    avg_shaped = _average(*tgt)
     return OracleReport(
         ns=ns,
         n=n,
@@ -206,7 +181,7 @@ def oracle_report(ns: int, n: int, k: int, max_space: int = DEFAULT_MAX_SPACE) -
         avg_source_info=avg_source,
         avg_shaped_info=avg_shaped,
         optimal_gain=avg_source - avg_shaped,
-        success_fraction=_successes(src, tgt) / size,
+        success_fraction=_successes(*src, *tgt) / size,
     )
 
 
@@ -223,8 +198,9 @@ def validate_strategy(cfg: ShaperConfig, ns: int, n: int, max_space: int = DEFAU
     if cfg.ns != ns:
         raise ValueError(f"config alphabet {cfg.ns} != requested alphabet {ns}")
     desc = space_descriptor(ns, n, max_space)
+    ns, n, k = desc.ns, desc.length, shaping._check_k(cfg.k)
     if cfg.strategy == EXACT_SORTED:
-        space_descriptor(ns, n + cfg.k, max_space)
+        space_descriptor(ns, n + k, max_space)
 
     roundtrip_ok = True
     images_distinct = True
@@ -253,7 +229,7 @@ def validate_strategy(cfg: ShaperConfig, ns: int, n: int, max_space: int = DEFAU
 
     image_matches = None
     if cfg.strategy == EXACT_SORTED and counterexample is None:
-        length = n + cfg.k
+        length = n + k
         tables = shaping._space_order(ns, length)
         lexes = np.array(list(seen), dtype=np.int64) @ shaping._lex_places(ns, length)
         ranks = [tables.rank(lex) for lex in lexes.tolist()]
@@ -270,7 +246,7 @@ def validate_strategy(cfg: ShaperConfig, ns: int, n: int, max_space: int = DEFAU
         strategy=cfg.strategy,
         ns=ns,
         n=n,
-        k=cfg.k,
+        k=k,
         size=desc.size,
         roundtrip_ok=roundtrip_ok,
         images_distinct=images_distinct,

@@ -28,6 +28,7 @@ with the space's cached place values and a few table reads on each side.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -234,19 +235,27 @@ def _partitions(total: int, parts: int, largest: int):
             yield (first, *rest)
 
 
-def _type_classes(ns: int, length: int) -> tuple[dict[tuple[int, ...], int], np.ndarray]:
+def _type_classes(ns: int, length: int) -> tuple[dict[tuple[int, ...], int], list[float], list[int]]:
     """The type classes of the length-``length`` sequences, ranked by value.
 
     A class is a partition of ``length`` into at most ``ns`` parts, written
     as its counts ascending.  Returns each class's rank among the distinct
-    values, and those values ascending: class ``c`` has value
-    ``values[rank[c]]``, and classes of equal value share a rank.  Each value
-    comes from the shared canonical scalar, called once per class, so
-    independently built orderings sort on bit-identical keys.
+    values (equal values share a rank), the values ascending, and each
+    value's number of sequences: a partition of ``m`` parts, ``mult_j`` of
+    them equal to ``j``, labels ``ns!/((ns-m)! prod mult_j!)`` count vectors
+    of ``length!/prod p_i!`` sequences each.  Each value comes from the
+    canonical scalar, once per class, so independently built orderings sort
+    on bit-identical keys.
     """
-    classes = [part[::-1] for part in _partitions(length, ns, length)]
-    values, ranks = np.unique([info_from_sorted_counts(c) for c in classes], return_inverse=True)
-    return dict(zip(classes, ranks.tolist())), values
+    value_of, sizes = {}, {}
+    for part in _partitions(length, ns, length):
+        value = value_of[part[::-1]] = info_from_sorted_counts(part[::-1])
+        labelings = math.perm(ns, len(part)) // math.prod(map(math.factorial, map(part.count, set(part))))
+        sequences = math.factorial(length) // math.prod(map(math.factorial, part))
+        sizes[value] = sizes.get(value, 0) + labelings * sequences
+    values = sorted(sizes)
+    rank = {value: r for r, value in enumerate(values)}
+    return {c: rank[value] for c, value in value_of.items()}, values, [sizes[value] for value in values]
 
 
 def _split(ns: int, length: int, values: int) -> int:
@@ -255,14 +264,25 @@ def _split(ns: int, length: int, values: int) -> int:
     ``M(w)`` multisets of ``w`` symbols give ``M(head) * ns**tail`` class and
     place entries, ``values * ns**head`` starts, ``head * ns**head + tail *
     ns**tail`` digits and ``M(head) * M(tail) * length`` merged symbols.
+    Raises :class:`MemoryError` when the build's estimated bytes exceed
+    physical memory: 17 per entry, 40 per start, 16 per digit, 48 per digit
+    row and 32 per sequence of the wider side (:func:`_multisets`' tables).
     """
 
-    def work(head: int) -> int:
+    def sizes(head: int) -> tuple[int, int, int, int]:
         tail = length - head
         heads, tails = math.comb(head + ns - 1, head), math.comb(tail + ns - 1, tail)
-        return heads * (ns**tail + tails * length) + values * ns**head + head * ns**head + tail * ns**tail
+        return heads * ns**tail, values * ns**head, head * ns**head + tail * ns**tail, heads * tails * length
 
-    return min(range(length + 1), key=work)
+    head = min(range(length + 1), key=lambda head: sum(sizes(head)))
+    entries, starts, digits, _ = sizes(head)
+    sides = (ns**head, ns ** (length - head))
+    estimate = 17 * entries + 40 * starts + 16 * digits + 48 * sum(sides) + 32 * max(sides)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if estimate > memory:
+        raise MemoryError(f"the exact-sorted order of {ns}^{length} sequences needs about {estimate:.3g} bytes, "
+                          f"more than the {memory:.3g} bytes of physical memory")
+    return head
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,18 +343,18 @@ def _digit_rows(ns: int, width: int) -> list[bytes]:
 def _space_order(ns: int, length: int) -> _Tables:
     """The tables (see :class:`_Tables`) of the (info, lex) total order on all sequences.
 
-    :func:`_split` picks the head width, and the heads and tails are grouped
-    by multiset (:func:`_multisets`).  Per batch of head multisets (up to
-    ``_STEP`` merged symbols and table entries), each is merged into each
-    distinct tail multiset: a sorted row's change positions form a
-    ``length - 1`` bit key, its runs are its class, and each key is ranked
-    once per build.  The ranks are gathered by each tail's multiset into
-    ``cls``, argsorted row by row into ``tails`` and ``pos`` and counted by
-    class; cumulative sums of the counts give ``base`` and ``start``.
-    Requires ``length >= 1``.
+    :func:`_split` picks the head width, or refuses a build that cannot fit,
+    and the heads and tails are grouped by multiset (:func:`_multisets`).
+    Per batch of head multisets (up to ``_STEP`` merged symbols and table
+    entries), each is merged into each distinct tail multiset: a sorted
+    row's change positions form a ``length - 1`` bit key, its runs are its
+    class, and each key is ranked once per build.  The ranks are gathered
+    by each tail's multiset into ``cls``, argsorted row by row into
+    ``tails`` and ``pos`` and counted by class; cumulative sums of the
+    counts give ``base`` and ``start``.  Requires ``length >= 1``.
     """
-    class_rank, values = _type_classes(ns, length)
-    head = _split(ns, length, values.size)
+    class_rank, values, _ = _type_classes(ns, length)
+    head = _split(ns, length, len(values))
     tail_sets, tid = _multisets(ns, length - head)
     head_sets, hid = _multisets(ns, head)
     bits = 1 << np.arange(length - 1, dtype=np.int64)
@@ -344,7 +364,7 @@ def _space_order(ns: int, length: int) -> _Tables:
         ends = [j + 1 for j in range(length - 1) if key >> j & 1] + [length]
         return class_rank[tuple(sorted(b - a for a, b in zip([0, *ends], ends)))]
 
-    rows, width, classes = len(head_sets), tid.size, values.size
+    rows, width, classes = len(head_sets), tid.size, len(values)
     cls = np.empty(rows * width, dtype=np.min_scalar_type(classes - 1))
     tails = np.empty(rows * width, dtype=_index_dtype(width))
     pos = np.empty_like(tails)
@@ -375,9 +395,9 @@ def _space_order(ns: int, length: int) -> _Tables:
         pos[sort.ravel()] = places[: n * width]
         flat = (block + np.arange(0, n * classes, classes)[:, None]).ravel()
         counts[i : i + n] = np.bincount(flat, minlength=n * classes).reshape(-1, classes)
-    per_head = counts.T[:, hid]  # (class, head)
-    total = per_head.sum(axis=1)
-    base = (np.cumsum(per_head, axis=1) - per_head + (np.cumsum(total) - total)[:, None]).ravel()
+    # class-major, so each prefix sum holds every sequence of lower value
+    per_head = counts.T[:, hid].ravel()
+    base = np.cumsum(per_head) - per_head
     start = base - (np.cumsum(counts, axis=1) - counts).T[:, hid].ravel()
     for array in (cls, tails, pos, base, start):
         array.setflags(write=False)

@@ -22,8 +22,8 @@ def seq(symbols, ns):
 
 def built_info(ns, length):
     """Every sequence's value in lex order: the order tables' class ranks looked up in the class list."""
-    _, values = shaping._type_classes(ns, length)
-    return values[shaping._space_order(ns, length).class_ranks()]
+    _, values, _ = shaping._type_classes(ns, length)
+    return np.array(values)[shaping._space_order(ns, length).class_ranks()]
 
 
 def materialised(tables, size):

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import seqshape.cli as cli_mod
-from seqshape import RoundTripError
+from seqshape import RoundTripError, shaping
 from seqshape.cli import main
 
 
@@ -72,6 +72,21 @@ class TestTransformInvert:
         assert main(["transform", "--in", str(src)]) == 5
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: alphabet size 9223372036854775807")
+        assert len(err.splitlines()) == 1
+
+    def test_order_too_large_for_memory_exit_5(self, tmp_path, capsys, monkeypatch):
+        # 2^63 sequences pass the bound given; the build's estimate must stop
+        # it before the first table is allocated
+        def no_build(*args):
+            raise AssertionError("order build started")
+
+        monkeypatch.setattr(shaping, "_multisets", no_build)
+        monkeypatch.setattr(shaping, "_digit_rows", no_build)
+        src = write_seq_file(tmp_path, "in.txt", 2, [0] * 63)
+        argv = ["invert", "--in", str(src), "--strategy", "exact-sorted", "--max-space", str(2**80)]
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: the exact-sorted order of 2^63 sequences needs about")
         assert len(err.splitlines()) == 1
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -193,6 +195,13 @@ class TestOracleReport:
         monkeypatch.setattr(shaping, "_multisets", no_enumeration)
         assert report_hex(oracle_report(2, 23, 1)) == ORACLE_2_23_1_HEX
 
+    def test_numpy_integers_give_the_int_report(self):
+        report = oracle_report(np.int64(3), np.int64(4), np.int64(1))
+        assert [type(v) for v in dataclasses.astuple(report)] == [int] * 3 + [float] * 4
+        assert report == oracle_report(3, 4, 1)
+        assert report_hex(report) == ORACLE_3_4_1_HEX
+        json.dumps(dataclasses.asdict(report))
+
     def test_empty_source_rejected_before_building(self, monkeypatch):
         def no_build(ns, length):
             raise AssertionError("order built for an empty source")
@@ -227,6 +236,14 @@ class TestValidateStrategy:
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError):
             validate_strategy(ShaperConfig(ns=3), 4, 2)
+
+    @pytest.mark.parametrize("strategy", [ADAPTIVE_RANK, EXACT_SORTED])
+    def test_numpy_integers_give_the_int_report(self, strategy):
+        cfg = ShaperConfig(ns=3, strategy=strategy)
+        report = validate_strategy(cfg, np.int64(3), np.int64(3))
+        assert report == validate_strategy(cfg, 3, 3)
+        assert all(type(v) is int for v in (report.ns, report.n, report.k, report.size))
+        json.dumps(dataclasses.asdict(report))
 
     def test_broken_strategy_is_reported(self, monkeypatch):
         # collapse every image to a constant: must surface a collision counterexample

@@ -397,12 +397,22 @@ class TestOrderBuild:
 
     def test_class_list_is_the_partitions(self):
         # partitions of 12 into at most 3 parts, counts ascending; values ranked
-        class_rank, values = shaping._type_classes(3, 12)
+        class_rank, values, sizes = shaping._type_classes(3, 12)
         assert len(class_rank) == 19
         assert all(sum(c) == 12 and list(c) == sorted(c) and len(c) <= 3 for c in class_rank)
         assert np.all(np.diff(values) > 0)
         for counts, r in class_rank.items():
             assert values[r] == info_from_sorted_counts(counts)
+        assert len(sizes) == len(values)
+        assert sum(sizes) == 3**12
+
+    def test_class_sizes_count_the_order_for_every_space_up_to_4096_sequences(self):
+        shapes = shapes_within(1 << 12)
+        assert len(shapes) == 4194
+        for ns, length in shapes:
+            _, values, sizes = shaping._type_classes(ns, length)
+            counted = np.bincount(shaping._space_order(ns, length).class_ranks(), minlength=len(values))
+            assert sizes == counted.tolist(), (ns, length)
 
     def test_order_matches_counts_for_every_space_up_to_4096_sequences(self):
         shapes = shapes_within(1 << 12)
@@ -436,6 +446,22 @@ class TestOrderBuild:
             tracemalloc.stop()
             shaping._space_order.cache_clear()
         assert peak < 4 << 20
+
+    @pytest.mark.parametrize("ns,length", [(4, 12), (2, 24), (256, 3), (4096, 2)])
+    def test_default_bound_fits_in_one_gib(self, monkeypatch, ns, length):
+        # the largest spaces of the default bound; each build's estimate is a
+        # few to a few hundred MiB
+        monkeypatch.setattr(shaping.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 18}.get)
+        shaping._split(ns, length, len(shaping._type_classes(ns, length)[1]))
+
+    def test_order_too_large_for_memory_raises_before_building(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("order build started")
+
+        monkeypatch.setattr(shaping, "_multisets", no_build)
+        monkeypatch.setattr(shaping, "_digit_rows", no_build)
+        with pytest.raises(MemoryError, match=r"order of 2\^63 sequences needs about .* bytes of physical memory"):
+            inverse_exact_sorted(seq([0] * 63, 2), max_space=2**80)
 
     @pytest.mark.parametrize("shape", [(3, 9), (2, 20), (256, 2)])
     def test_tables_are_read_only(self, shape):
