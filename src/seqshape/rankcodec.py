@@ -9,13 +9,17 @@ states and the map is exactly invertible.  The order is kept as a sorted list
 of integer keys, so each step is a bisect and at most one list move.
 
 The decoder walks the sequence one step at a time: the symbol at a position
-is only known once every earlier step is done.  The encoder needs no walk, as
-a symbol's rank depends only on the counts of earlier positions, and a
-cumulative sum gives those for every position at once.  A long sequence
-(``_VECTOR_MIN_LENGTH`` symbols or more) over a small alphabet (at most
-``_VECTOR_MAX_NS`` symbols) is encoded that way, in numpy; shorter sequences,
-larger alphabets and counts too large for int64 keys take the scalar walk.
-Both give the same digits and leave the same state.
+is only known once every earlier step is done.  It keeps only the sorted
+keys: a step reads the key at the digit's rank, records it and moves it, and
+the symbols (each key ``% ns``) and the counts are taken once, at the end of
+the walk.  The encoder needs no walk, as a symbol's rank depends only on the
+counts of earlier positions, and a cumulative sum gives those for every
+position at once.  A long sequence (``_VECTOR_MIN_LENGTH`` symbols or more)
+over a small alphabet (at most ``_VECTOR_MAX_NS`` symbols) is encoded that
+way, in numpy, with int32 keys where they fit; shorter sequences, larger
+alphabets and counts too large for int64 keys take the scalar walk, which
+keeps each symbol's current key.  Both give the same digits and leave the
+same state.
 
 Frequently seen symbols sit at low ranks, so on skewed sources the digit
 stream concentrates near digit 0 while remaining a bijection on the full
@@ -44,7 +48,7 @@ __all__ = [
 # O(ns) work per position does (see the crossover table in CHANGES.md).  The
 # alphabet bound also keeps a row's count of keys inside the uint8 sums.
 _VECTOR_MIN_LENGTH = 128
-_VECTOR_MAX_NS = 64
+_VECTOR_MAX_NS = 96
 # positions per key matrix, so memory stays O(ns * block) at any length
 _VECTOR_BLOCK = 2048
 # keys and key - ns stay inside int64 while ns * (max count + length) is below this
@@ -80,11 +84,15 @@ class RankState:
     The order (count descending, smaller id first) is one ascending list of
     the keys ``symbol - count * ns``: a rank is one ``bisect_left`` and the
     symbol at a rank is ``key % ns``.  A step lowers the symbol's key by ``ns``
-    and moves it from rank ``p`` up to the rank ``q`` a bisect over ``[0, p)``
-    finds.  ``comparisons`` counts what an upward bubble making that move
-    compares, ``p - q + (q > 0) + 1`` keys, O(L * ns) per pass at worst.  The
+    and moves it from rank ``p`` up to the rank ``q <= p`` a bisect finds.
+    ``comparisons`` counts what an upward bubble making that move compares,
+    ``p - q + (q > 0) + 1`` keys, O(L * ns) per pass at worst.  The
     vector encoder (:meth:`_encode`) makes no moves and adds the same count by
     formula from its ``p`` and ``q``.
+
+    The walks keep ``counts`` as it stands between calls, not at each step:
+    the decoder works on the keys alone and the encoder on each symbol's
+    current key, and each rebuilds ``counts`` once, at the end, in O(ns).
     """
 
     __slots__ = ("ns", "counts", "_keys", "comparisons")
@@ -122,33 +130,53 @@ class RankState:
         self._walk([symbol], decode=False)
 
     def _walk(self, values: list, decode: bool) -> list:
-        """Step past each value: the symbols' ranks, or with ``decode`` the ranks' symbols."""
-        ns, counts, keys = self.ns, self.counts, self._keys
+        """Step past each value: the symbols' ranks, or with ``decode`` the ranks' symbols.
+
+        A decode step records the lowered key of rank ``p`` and an encode step
+        reads the symbol's current key from ``own``; the decoded symbols (the
+        recorded keys ``% ns``) and ``counts`` are taken once, after the loop.
+        """
+        ns, keys = self.ns, self._keys
         out = []
         append = out.append
         moved = 0
-        for value in values:
-            if decode:
-                p = value
-                key = keys[p]
+        if decode:
+            for p in values:
+                key = keys[p] - ns
+                append(key)
+                if p:
+                    q = bisect_left(keys, key)
+                    del keys[p]
+                    keys.insert(q, key)
+                    moved += p - (q or 1)
+                else:
+                    keys[0] = key
+            ranks = values
+            out = [key % ns for key in out]
+            counts = [0] * ns
+            for key in keys:
                 symbol = key % ns
-                append(symbol)
-            else:
-                symbol = value
-                key = symbol - counts[symbol] * ns
+                counts[symbol] = (symbol - key) // ns
+        else:
+            own = [a - c * ns for a, c in enumerate(self.counts)]
+            for symbol in values:
+                key = own[symbol]
                 p = bisect_left(keys, key)
                 append(p)
-            counts[symbol] += 1
-            key -= ns
-            if p == 0 or keys[p - 1] < key:
-                keys[p] = key
-            else:
-                q = bisect_left(keys, key, 0, p - 1)
-                del keys[p]
-                keys.insert(q, key)
-                moved += p - q + (q > 0) - 1
-        # a step that keeps its rank p costs 1 + (p > 0), a move `moved` more
-        ranks = values if decode else out
+                own[symbol] = key = key - ns
+                if p:
+                    q = bisect_left(keys, key)
+                    del keys[p]
+                    keys.insert(q, key)
+                    moved += p - (q or 1)
+                else:
+                    keys[0] = key
+            ranks = out
+            counts = [(a - key) // ns for a, key in enumerate(own)]
+        self.counts = counts
+        # the bubble compares 1 + (p > 0) keys at each step, and moving a key
+        # from rank p up to q another p - q + (q > 0) - 1, which is
+        # p - (q or 1) and 0 when q == p > 0
         self.comparisons += 2 * len(ranks) - ranks.count(0) + moved
         return out
 
@@ -161,13 +189,18 @@ class RankState:
         keys in row ``i`` below the symbol's own key ``k_i``; the rank after the
         step is ``q_i``, the number below ``k_i - ns``.  The walk's upward
         bubble would compare ``p_i - q_i + (q_i > 0) + 1`` keys at the step.
+        The matrix is int32 when every key fits, which halves the memory the
+        cumulative sum and the comparisons read; the code is the same.
         """
         ns = self.ns
         step = min(symbols.size, _VECTOR_BLOCK)
+        # every key and key - ns lies in [-bound, ns)
+        bound = ns * (max(self.counts) + symbols.size + 1)
+        dtype = np.int32 if bound < 2**31 else np.int64
         # one buffer serves every block: with a matrix per block two were alive
         # at once, and freeing them made the allocator hand the memory back to
         # the system, to fault it in again on the next call
-        matrix = np.empty((step + 1, ns), dtype=np.int64)
+        matrix = np.empty((step + 1, ns), dtype=dtype)
         matrix[0] = [a - c * ns for a, c in enumerate(self.counts)]
         digits = np.empty(symbols.size, dtype=np.int64)
         comparisons = 0
@@ -209,6 +242,15 @@ def symbol_of_rank(state: RankState, digit: int) -> int:
     return state.symbol_at(_check_index(digit, state.ns, "digit"))
 
 
+def _vector_encodes(state: RankState, length: int) -> bool:
+    """The size rule: whether ``length`` symbols from ``state`` take :meth:`RankState._encode`."""
+    return (
+        length >= _VECTOR_MIN_LENGTH
+        and state.ns <= _VECTOR_MAX_NS
+        and state.ns * (max(state.counts) + length) < _VECTOR_KEY_LIMIT
+    )
+
+
 def to_digits(seq: Sequence, state: RankState | None = None) -> DigitStream:
     """Encode ``seq`` as adaptive frequency-rank digits.
 
@@ -230,11 +272,7 @@ def to_digits(seq: Sequence, state: RankState | None = None) -> DigitStream:
         state = RankState(seq.ns)
     elif state.ns != seq.ns:
         raise ValueError(f"state alphabet {state.ns} != sequence alphabet {seq.ns}")
-    if (
-        length >= _VECTOR_MIN_LENGTH
-        and state.ns <= _VECTOR_MAX_NS
-        and state.ns * (max(state.counts) + length) < _VECTOR_KEY_LIMIT
-    ):
+    if _vector_encodes(state, length):
         digits = state._encode(seq.symbols)
     else:
         digits = state._walk(seq.symbols.tolist(), decode=False)
@@ -251,3 +289,19 @@ def from_digits(stream: DigitStream, state: RankState | None = None) -> Sequence
         raise ValueError(f"state alphabet {state.ns} != stream alphabet {stream.ns}")
     symbols = state._walk(stream.digits.tolist(), decode=True)
     return _trusted(Sequence, symbols, stream.ns)
+
+
+def _recode(symbols: np.ndarray, ns: int, zeros: int = 0, skip: int = 0) -> list:
+    """Decode ``zeros`` zero digits and then the digits of ``symbols`` from the ``skip``-th on.
+
+    The adaptive-rank transform (``zeros=k``) and its inverse (``skip=k``) as
+    one encode and one decode, each from a fresh state, on plain lists:
+    :func:`to_digits` then :func:`from_digits` without the digit streams
+    between them.  ``symbols`` must be checked symbols in ``[0, ns)``.
+    """
+    state = RankState(ns)
+    if _vector_encodes(state, symbols.size):
+        digits = state._encode(symbols)[skip:].tolist()
+    else:
+        digits = state._walk(symbols.tolist(), decode=False)[skip:]
+    return RankState(ns)._walk([0] * zeros + digits, decode=True)

@@ -28,8 +28,11 @@ class SourceSpec:
     pmax: float
 
     def __post_init__(self):
-        _check_ns(self.ns)
-        if _check_integer(self.n, "sequence length") < 1:
+        # the checked Python ints are stored, so a spec given numpy integers
+        # still exports to JSON
+        object.__setattr__(self, "ns", _check_ns(self.ns))
+        object.__setattr__(self, "n", _check_integer(self.n, "sequence length"))
+        if self.n < 1:
             raise ValueError(f"sequence length must be >= 1, got {self.n}")
         if not 0.0 < self.pmax < 1.0:
             raise ValueError(f"pmax must lie strictly inside (0, 1), got {self.pmax}")

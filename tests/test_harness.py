@@ -156,6 +156,19 @@ class TestExport:
         r = payload["records"][0]
         assert set(r) == {"trial", "infc", "tinfc", "dife", "success", "roundtrip_ok"}
 
+    def test_json_from_numpy_integer_spec_and_config(self, tmp_path):
+        spec = SourceSpec(ns=np.int64(3), n=np.int64(6), pmax=0.5)
+        cfg = ShaperConfig(ns=np.int64(3), k=np.int64(1), max_space=np.int64(2**20))
+        assert all(type(v) is int for v in (spec.ns, spec.n, cfg.ns, cfg.k, cfg.max_space))
+        summary, records = run_experiment(spec, cfg, 3, 1)
+        out = tmp_path / "results.json"
+        export([summary], records, out, "json")
+        payload = json.loads(out.read_text())
+        assert payload["summaries"][0]["spec"] == {"ns": 3, "n": 6, "pmax": 0.5}
+        plain, _ = run_experiment(SourceSpec(ns=3, n=6, pmax=0.5), ShaperConfig(ns=3), 3, 1)
+        assert payload["summaries"][0]["mdife"] == float(f"{plain.mdife:.9g}")
+        assert len(payload["records"]) == 3
+
     def test_json_round_trip_nine_significant_digits(self, tmp_path):
         summary, records = small_run(trials=6)
         out = tmp_path / "results.json"

@@ -49,6 +49,15 @@ def codec_inputs(draw, max_ns=64, max_len=500, min_len=1):
     return ns, sample(SourceSpec(ns=ns, n=length, pmax=pmax), seed, 0).symbols.tolist()
 
 
+def assert_same_state(state, walked):
+    assert (state.counts, state._keys, state.comparisons) == (
+        walked.counts,
+        walked._keys,
+        walked.comparisons,
+    )
+    assert all(type(value) is int for value in state.counts + state._keys)
+
+
 def check_against_reference(symbols, ns):
     symbols = list(symbols)
     enc, dec = RankState(ns), RankState(ns)
@@ -59,6 +68,14 @@ def check_against_reference(symbols, ns):
     assert enc.counts == [symbols.count(a) for a in range(ns)]
     assert enc.comparisons == ref_bubble_comparisons(symbols, ns)
     assert dec.comparisons == ref_bubble_comparisons(decoded, ns)
+    # the decoder rebuilds its counts from its keys: it must end where
+    # encoding its output ends, from a fresh state and from given counts
+    counts = [(3 * a + len(symbols)) % 5 for a in range(ns)]
+    for make_state in (lambda: RankState(ns), lambda: RankState.from_counts(counts)):
+        dec, reenc = make_state(), make_state()
+        decoded = from_digits(stream(symbols, ns), dec)
+        assert to_digits(decoded, reenc).digits.tolist() == symbols
+        assert_same_state(dec, reenc)
 
 
 class TestRankQueries:
@@ -238,15 +255,6 @@ def encode_both(symbols, ns, make_state):
     return (digits, fast), (slow._walk(list(symbols), decode=False), slow)
 
 
-def assert_same_state(state, walked):
-    assert (state.counts, state._keys, state.comparisons) == (
-        walked.counts,
-        walked._keys,
-        walked.comparisons,
-    )
-    assert all(type(value) is int for value in state.counts + state._keys)
-
-
 @pytest.fixture
 def vector_calls(monkeypatch):
     """The lengths ``to_digits`` hands to the vector encoder, in call order."""
@@ -318,6 +326,25 @@ class TestVectorEncoder:
         assert digits == walked_state._walk(list(symbols), decode=False)
         assert tuple(digits) == ref_to_digits(symbols, ns)
         assert state.comparisons == ref_bubble_comparisons(symbols, ns)
+        assert_same_state(state, walked_state)
+
+    @pytest.mark.parametrize("ns", [2, 3])
+    @pytest.mark.parametrize("past", [-1, 1])
+    def test_int32_key_boundary(self, vector_calls, ns, past):
+        # symbol 0 holds the largest count and comes at every position, so the
+        # last row holds the lowest key, -ns * (count + length): with past=-1
+        # ns * (count + length + 1) is the largest below 2**31 (int32 keys),
+        # with past=1 the lowest key itself is below -2**31
+        length = MIN_LENGTH
+        count = (2**31 - 1) // ns - length - 1 if past < 0 else 2**31 // ns - length + 1
+        assert (ns * (count + length + 1) < 2**31) == (past < 0)
+        assert (ns * (count + length) > 2**31) == (past > 0)
+        symbols = [0] * length
+        (digits, state), (walked, walked_state) = encode_both(
+            symbols, ns, lambda: RankState.from_counts([count] + [0] * (ns - 1))
+        )
+        assert vector_calls == [length]
+        assert digits == walked == [0] * length
         assert_same_state(state, walked_state)
 
     def test_counts_beyond_int64_keys_take_the_walk(self, vector_calls):
