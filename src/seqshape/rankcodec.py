@@ -17,9 +17,8 @@ counts of earlier positions, and a cumulative sum gives those for every
 position at once.  A long sequence (``_VECTOR_MIN_LENGTH`` symbols or more)
 over a small alphabet (at most ``_VECTOR_MAX_NS`` symbols) is encoded that
 way, in numpy, with int32 keys where they fit; shorter sequences, larger
-alphabets and counts too large for int64 keys take the scalar walk, which
-keeps each symbol's current key.  Both give the same digits and leave the
-same state.
+alphabets and counts too large for int64 keys take the scalar walk.  Both
+give the same digits and leave the same state.
 
 Frequently seen symbols sit at low ranks, so on skewed sources the digit
 stream concentrates near digit 0 while remaining a bijection on the full
@@ -48,11 +47,14 @@ __all__ = [
 # O(ns) work per position does (see the crossover table in CHANGES.md).  The
 # alphabet bound also keeps a row's count of keys inside the uint8 sums.
 _VECTOR_MIN_LENGTH = 128
-_VECTOR_MAX_NS = 96
+_VECTOR_MAX_NS = 64
 # positions per key matrix, so memory stays O(ns * block) at any length
 _VECTOR_BLOCK = 2048
 # keys and key - ns stay inside int64 while ns * (max count + length) is below this
 _VECTOR_KEY_LIMIT = 2**62
+# from this many digits on, the decoder takes its symbols from the recorded
+# keys with one numpy `%`; below it a list comprehension is faster
+_NUMPY_SYMBOLS_MIN = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,9 +92,9 @@ class RankState:
     vector encoder (:meth:`_encode`) makes no moves and adds the same count by
     formula from its ``p`` and ``q``.
 
-    The walks keep ``counts`` as it stands between calls, not at each step:
-    the decoder works on the keys alone and the encoder on each symbol's
-    current key, and each rebuilds ``counts`` once, at the end, in O(ns).
+    The decoder works on the keys alone and keeps ``counts`` as it stands
+    between calls, not at each step: it rebuilds them once, at the end of a
+    walk, in O(ns).
     """
 
     __slots__ = ("ns", "counts", "_keys", "comparisons")
@@ -132,9 +134,10 @@ class RankState:
     def _walk(self, values: list, decode: bool) -> list:
         """Step past each value: the symbols' ranks, or with ``decode`` the ranks' symbols.
 
-        A decode step records the lowered key of rank ``p`` and an encode step
-        reads the symbol's current key from ``own``; the decoded symbols (the
-        recorded keys ``% ns``) and ``counts`` are taken once, after the loop.
+        A decode step only records the lowered key of rank ``p``; the decoded
+        symbols (the recorded keys ``% ns``, as one numpy array from
+        ``_NUMPY_SYMBOLS_MIN`` digits on) and ``counts`` are taken once, after
+        the loop.
         """
         ns, keys = self.ns, self._keys
         out = []
@@ -152,18 +155,24 @@ class RankState:
                 else:
                     keys[0] = key
             ranks = values
-            out = [key % ns for key in out]
+            if len(out) < _NUMPY_SYMBOLS_MIN:
+                out = [key % ns for key in out]
+            else:
+                # a symbol's key only falls, so every recorded key lies in
+                # [keys[0], ns), and int64 holds them all unless keys[0] is below
+                out = np.asarray(out, dtype=np.int64 if keys[0] >= -(2**63) else object) % ns
             counts = [0] * ns
             for key in keys:
                 symbol = key % ns
                 counts[symbol] = (symbol - key) // ns
         else:
-            own = [a - c * ns for a, c in enumerate(self.counts)]
+            counts = self.counts
             for symbol in values:
-                key = own[symbol]
+                key = symbol - counts[symbol] * ns
                 p = bisect_left(keys, key)
                 append(p)
-                own[symbol] = key = key - ns
+                counts[symbol] += 1
+                key -= ns
                 if p:
                     q = bisect_left(keys, key)
                     del keys[p]
@@ -172,7 +181,6 @@ class RankState:
                 else:
                     keys[0] = key
             ranks = out
-            counts = [(a - key) // ns for a, key in enumerate(own)]
         self.counts = counts
         # the bubble compares 1 + (p > 0) keys at each step, and moving a key
         # from rank p up to q another p - q + (q > 0) - 1, which is
@@ -242,15 +250,6 @@ def symbol_of_rank(state: RankState, digit: int) -> int:
     return state.symbol_at(_check_index(digit, state.ns, "digit"))
 
 
-def _vector_encodes(state: RankState, length: int) -> bool:
-    """The size rule: whether ``length`` symbols from ``state`` take :meth:`RankState._encode`."""
-    return (
-        length >= _VECTOR_MIN_LENGTH
-        and state.ns <= _VECTOR_MAX_NS
-        and state.ns * (max(state.counts) + length) < _VECTOR_KEY_LIMIT
-    )
-
-
 def to_digits(seq: Sequence, state: RankState | None = None) -> DigitStream:
     """Encode ``seq`` as adaptive frequency-rank digits.
 
@@ -272,7 +271,11 @@ def to_digits(seq: Sequence, state: RankState | None = None) -> DigitStream:
         state = RankState(seq.ns)
     elif state.ns != seq.ns:
         raise ValueError(f"state alphabet {state.ns} != sequence alphabet {seq.ns}")
-    if _vector_encodes(state, length):
+    if (
+        length >= _VECTOR_MIN_LENGTH
+        and state.ns <= _VECTOR_MAX_NS
+        and state.ns * (max(state.counts) + length) < _VECTOR_KEY_LIMIT
+    ):
         digits = state._encode(seq.symbols)
     else:
         digits = state._walk(seq.symbols.tolist(), decode=False)
@@ -289,19 +292,3 @@ def from_digits(stream: DigitStream, state: RankState | None = None) -> Sequence
         raise ValueError(f"state alphabet {state.ns} != stream alphabet {stream.ns}")
     symbols = state._walk(stream.digits.tolist(), decode=True)
     return _trusted(Sequence, symbols, stream.ns)
-
-
-def _recode(symbols: np.ndarray, ns: int, zeros: int = 0, skip: int = 0) -> list:
-    """Decode ``zeros`` zero digits and then the digits of ``symbols`` from the ``skip``-th on.
-
-    The adaptive-rank transform (``zeros=k``) and its inverse (``skip=k``) as
-    one encode and one decode, each from a fresh state, on plain lists:
-    :func:`to_digits` then :func:`from_digits` without the digit streams
-    between them.  ``symbols`` must be checked symbols in ``[0, ns)``.
-    """
-    state = RankState(ns)
-    if _vector_encodes(state, symbols.size):
-        digits = state._encode(symbols)[skip:].tolist()
-    else:
-        digits = state._walk(symbols.tolist(), decode=False)[skip:]
-    return RankState(ns)._walk([0] * zeros + digits, decode=True)

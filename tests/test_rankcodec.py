@@ -242,8 +242,6 @@ class TestKeyListAgainstReference:
 MIN_LENGTH = rankcodec._VECTOR_MIN_LENGTH
 MAX_NS = rankcodec._VECTOR_MAX_NS
 BLOCK = rankcodec._VECTOR_BLOCK
-# alphabet sizes on both sides of the vector bound, now and at its former 64
-WIDTHS = sorted({2, 30, 64, 65, MAX_NS, MAX_NS + 1})
 
 
 def skewed(ns, length, seed):
@@ -280,9 +278,6 @@ class TestVectorEncoder:
             (3, 9, False),
             (30, 400, True),
             (60, 401, True),
-            (64, MIN_LENGTH, True),
-            (64, MIN_LENGTH - 1, False),
-            (65, 2 * BLOCK + 1, True),
             (MAX_NS, MIN_LENGTH, True),
             (MAX_NS, MIN_LENGTH - 1, False),
             (MAX_NS + 1, 2 * BLOCK + 1, False),
@@ -292,7 +287,7 @@ class TestVectorEncoder:
         to_digits(seq(skewed(ns, length, 1), ns))
         assert vector_calls == ([length] if vector else [])
 
-    @pytest.mark.parametrize("ns", WIDTHS)
+    @pytest.mark.parametrize("ns", [2, 30, MAX_NS, MAX_NS + 1])
     @pytest.mark.parametrize(
         "length",
         [MIN_LENGTH - 1, MIN_LENGTH, MIN_LENGTH + 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1],
@@ -305,7 +300,7 @@ class TestVectorEncoder:
         assert state.comparisons == ref_bubble_comparisons(symbols, ns)
         assert_same_state(state, walked_state)
 
-    @pytest.mark.parametrize("ns", WIDTHS)
+    @pytest.mark.parametrize("ns", [2, 30, MAX_NS, MAX_NS + 1])
     def test_from_counts_start_states(self, ns):
         counts = np.random.default_rng(ns).integers(0, 40, size=ns).tolist()
         prefix = [a for a, c in enumerate(counts) for _ in range(c)]
@@ -317,7 +312,7 @@ class TestVectorEncoder:
         assert tuple(digits) == ref_to_digits(prefix + symbols, ns)[len(prefix):]
         assert_same_state(state, walked_state)
 
-    @pytest.mark.parametrize("ns", sorted({30, 65, MAX_NS + 1}))
+    @pytest.mark.parametrize("ns", [30, MAX_NS + 1])
     @pytest.mark.parametrize("short_first", [True, False])
     def test_state_consumed_by_a_short_and_a_long_call(self, ns, short_first):
         short, long = 5, BLOCK + 1
@@ -362,6 +357,10 @@ class TestVectorEncoder:
         assert digits == walked
         assert_same_state(state, walked_state)
         assert state.counts[0] == 2**70 + symbols.count(0)
+        # the decoder's recorded keys are beyond int64 too
+        dec = RankState.from_counts(counts)
+        assert from_digits(stream(digits, 3), dec).symbols.tolist() == symbols
+        assert_same_state(dec, state)
 
 
 def assert_as_if_checked(built, public, field):
