@@ -11,14 +11,23 @@ of integer keys, so each step is a bisect and at most one list move.
 The decoder walks the sequence one step at a time: the symbol at a position
 is only known once every earlier step is done.  It keeps only the sorted
 keys: a step reads the key at the digit's rank, records it and moves it, and
-the symbols (each key ``% ns``) and the counts are taken once, at the end of
-the walk.  The encoder needs no walk, as a symbol's rank depends only on the
-counts of earlier positions, and a cumulative sum gives those for every
-position at once.  A long sequence (``_VECTOR_MIN_LENGTH`` symbols or more)
-over a small alphabet (at most ``_VECTOR_MAX_NS`` symbols) is encoded that
-way, in numpy, with int32 keys where they fit; shorter sequences, larger
-alphabets and counts too large for int64 keys take the scalar walk.  Both
-give the same digits and leave the same state.
+the symbols (each key ``% ns``) are taken once, at the end of the walk.  The
+encoder needs no walk, as a symbol's rank depends only on the counts of
+earlier positions, and a cumulative sum gives those for every position at
+once.  A long sequence (``_VECTOR_MIN_LENGTH`` symbols or more) over a small
+alphabet (at most ``_VECTOR_MAX_NS`` symbols) is encoded that way, in numpy,
+with int32 keys where they fit; shorter sequences, larger alphabets and
+counts too large for int64 keys take the scalar walk.  Both give the same
+digits.
+
+A pass with no :class:`RankState` from its caller skips the bookkeeping
+nobody could read: the vector encoder finds each digit and leaves its state
+as it was made, and the decoder neither counts comparisons nor rebuilds
+``counts``.  (The scalar encode walk keeps its counts, which its keys are
+made from, and its one-line comparison tally.)  A pass given a state leaves
+it exactly as a step-by-step walk would: ``counts``, keys and the
+``comparisons`` counter.  So ``comparisons`` is exact on a caller's state
+only.
 
 Frequently seen symbols sit at low ranks, so on skewed sources the digit
 stream concentrates near digit 0 while remaining a bijection on the full
@@ -90,11 +99,13 @@ class RankState:
     ``comparisons`` counts what an upward bubble making that move compares,
     ``p - q + (q > 0) + 1`` keys, O(L * ns) per pass at worst.  The
     vector encoder (:meth:`_encode`) makes no moves and adds the same count by
-    formula from its ``p`` and ``q``.
+    formula from its ``p`` and ``q``; a decode adds what encoding its output
+    adds, as the two pass through the same states.
 
-    The decoder works on the keys alone and keeps ``counts`` as it stands
-    between calls, not at each step: it rebuilds them once, at the end of a
-    walk, in O(ns).
+    The counter is exact on a state a caller passes to :func:`to_digits` or
+    :func:`from_digits`.  The state those functions make when given none is
+    dropped on return, so they keep no bookkeeping on it: the vector encoder
+    leaves it as it was made and the decoder walks a key list alone.
     """
 
     __slots__ = ("ns", "counts", "_keys", "comparisons")
@@ -129,76 +140,48 @@ class RankState:
 
     def advance(self, symbol: int) -> None:
         """Increment ``symbol``'s count and restore the order invariant."""
-        self._walk([symbol], decode=False)
+        self._walk([symbol])
 
-    def _walk(self, values: list, decode: bool) -> list:
-        """Step past each value: the symbols' ranks, or with ``decode`` the ranks' symbols.
-
-        A decode step only records the lowered key of rank ``p``; the decoded
-        symbols (the recorded keys ``% ns``, as one numpy array from
-        ``_NUMPY_SYMBOLS_MIN`` digits on) and ``counts`` are taken once, after
-        the loop.
-        """
-        ns, keys = self.ns, self._keys
-        out = []
-        append = out.append
+    def _walk(self, symbols: list) -> list:
+        """Step past each symbol in turn: their ranks, with ``counts``, keys and ``comparisons`` kept."""
+        ns, keys, counts = self.ns, self._keys, self.counts
+        ranks = []
+        append = ranks.append
         moved = 0
-        if decode:
-            for p in values:
-                key = keys[p] - ns
-                append(key)
-                if p:
-                    q = bisect_left(keys, key)
-                    del keys[p]
-                    keys.insert(q, key)
-                    moved += p - (q or 1)
-                else:
-                    keys[0] = key
-            ranks = values
-            if len(out) < _NUMPY_SYMBOLS_MIN:
-                out = [key % ns for key in out]
+        for symbol in symbols:
+            key = symbol - counts[symbol] * ns
+            p = bisect_left(keys, key)
+            append(p)
+            counts[symbol] += 1
+            key -= ns
+            if p:
+                q = bisect_left(keys, key)
+                del keys[p]
+                keys.insert(q, key)
+                moved += p - (q or 1)
             else:
-                # a symbol's key only falls, so every recorded key lies in
-                # [keys[0], ns), and int64 holds them all unless keys[0] is below
-                out = np.asarray(out, dtype=np.int64 if keys[0] >= -(2**63) else object) % ns
-            counts = [0] * ns
-            for key in keys:
-                symbol = key % ns
-                counts[symbol] = (symbol - key) // ns
-        else:
-            counts = self.counts
-            for symbol in values:
-                key = symbol - counts[symbol] * ns
-                p = bisect_left(keys, key)
-                append(p)
-                counts[symbol] += 1
-                key -= ns
-                if p:
-                    q = bisect_left(keys, key)
-                    del keys[p]
-                    keys.insert(q, key)
-                    moved += p - (q or 1)
-                else:
-                    keys[0] = key
-            ranks = out
-        self.counts = counts
+                keys[0] = key
         # the bubble compares 1 + (p > 0) keys at each step, and moving a key
         # from rank p up to q another p - q + (q > 0) - 1, which is
         # p - (q or 1) and 0 when q == p > 0
         self.comparisons += 2 * len(ranks) - ranks.count(0) + moved
-        return out
+        return ranks
 
-    def _encode(self, symbols: np.ndarray) -> np.ndarray:
+    def _encode(self, symbols: np.ndarray, keep: bool) -> np.ndarray:
         """The ranks of ``symbols`` stepped past in turn; :meth:`_walk` without the walk.
 
         Row ``i`` of a block's key matrix holds every symbol's key before
         position ``i``: the state's keys in row 0, then a cumulative sum of
         ``-ns`` at ``(i + 1, symbol_i)``.  The digit is ``p_i``, the number of
-        keys in row ``i`` below the symbol's own key ``k_i``; the rank after the
-        step is ``q_i``, the number below ``k_i - ns``.  The walk's upward
-        bubble would compare ``p_i - q_i + (q_i > 0) + 1`` keys at the step.
-        The matrix is int32 when every key fits, which halves the memory the
-        cumulative sum and the comparisons read; the code is the same.
+        keys in row ``i`` below the symbol's own key ``k_i``.  The matrix is
+        int32 when every key fits, which halves the memory the cumulative sum
+        and the comparisons read; the code is the same.
+
+        Only with ``keep`` does the state advance: ``counts`` and the keys are
+        taken from the last row, and ``comparisons`` adds what the walk's
+        upward bubble would compare, ``p_i - q_i + (q_i > 0) + 1`` keys at a
+        step, where the rank after the step ``q_i`` is the number of keys in
+        row ``i`` below ``k_i - ns``.  Without it the state is left as it was.
         """
         ns = self.ns
         step = min(symbols.size, _VECTOR_BLOCK)
@@ -222,15 +205,45 @@ class RankState:
             np.cumsum(keys, axis=0, out=keys)
             own = keys[rows, block][:, None]
             p = np.einsum("ij->i", (keys[:size] < own).view(np.uint8))
-            q = np.einsum("ij->i", (keys[:size] < own - ns).view(np.uint8))
-            comparisons += int((p - q).sum()) + int(np.count_nonzero(q)) + size
+            if keep:
+                q = np.einsum("ij->i", (keys[:size] < own - ns).view(np.uint8))
+                comparisons += int((p - q).sum()) + int(np.count_nonzero(q)) + size
             digits[start:start + size] = p
             matrix[0] = keys[size]
-        keys = matrix[0].tolist()
-        self.counts = [(a - key) // ns for a, key in enumerate(keys)]
-        self._keys = sorted(keys)
-        self.comparisons += comparisons
+        if keep:
+            keys = matrix[0].tolist()
+            self.counts = [(a - key) // ns for a, key in enumerate(keys)]
+            self._keys = sorted(keys)
+            self.comparisons += comparisons
         return digits
+
+
+def _decode(keys: list, ns: int, digits: list):
+    """The symbols at ``digits`` stepped past in turn, moving the sorted ``keys`` in place.
+
+    A step only records the lowered key of rank ``p`` and moves it; the
+    symbols (the recorded keys ``% ns``, as one numpy array from
+    ``_NUMPY_SYMBOLS_MIN`` digits on) are taken once, after the loop.  No
+    counts and no comparisons: :func:`from_digits` gives a caller's state
+    those by encoding the symbols.
+    """
+    out = []
+    append = out.append
+    for p in digits:
+        key = keys[p] - ns
+        append(key)
+        if p:
+            q = bisect_left(keys, key)
+            del keys[p]
+            keys.insert(q, key)
+        else:
+            keys[0] = key
+    if len(out) < _NUMPY_SYMBOLS_MIN:
+        return [key % ns for key in out]
+    # a symbol's key only falls, so every recorded key lies in [keys[0], ns);
+    # keys[0] is at least -ns * len(digits) from a fresh state, and only a
+    # given state's counts can take it below int64
+    return np.asarray(out, dtype=np.int64 if keys[0] >= -(2**63) else object) % ns
 
 
 def _check_index(value: int, ns: int, what: str) -> int:
@@ -255,7 +268,10 @@ def to_digits(seq: Sequence, state: RankState | None = None) -> DigitStream:
 
     Each digit is the symbol's rank given the counts of all earlier positions;
     the state advances after every emission.  A caller-supplied ``state`` is
-    consumed in place (useful for streaming or for instrumentation).
+    consumed in place (useful for streaming or for instrumentation): its
+    ``counts``, keys and ``comparisons`` end exactly as a step-by-step walk
+    leaves them.  With no state the pass keeps no bookkeeping beyond what
+    its digits need.
 
     A sequence of at least ``_VECTOR_MIN_LENGTH`` symbols over at most
     ``_VECTOR_MAX_NS`` is encoded in numpy, every rank from one cumulative
@@ -267,7 +283,8 @@ def to_digits(seq: Sequence, state: RankState | None = None) -> DigitStream:
     length = len(seq)
     if length == 0:
         raise ValueError("cannot encode an empty sequence")
-    if state is None:
+    keep = state is not None
+    if not keep:
         state = RankState(seq.ns)
     elif state.ns != seq.ns:
         raise ValueError(f"state alphabet {state.ns} != sequence alphabet {seq.ns}")
@@ -276,19 +293,31 @@ def to_digits(seq: Sequence, state: RankState | None = None) -> DigitStream:
         and state.ns <= _VECTOR_MAX_NS
         and state.ns * (max(state.counts) + length) < _VECTOR_KEY_LIMIT
     ):
-        digits = state._encode(seq.symbols)
+        digits = state._encode(seq.symbols, keep)
     else:
-        digits = state._walk(seq.symbols.tolist(), decode=False)
+        digits = state._walk(seq.symbols.tolist())
     return _trusted(DigitStream, digits, seq.ns)
 
 
 def from_digits(stream: DigitStream, state: RankState | None = None) -> Sequence:
-    """Decode a digit stream; exact inverse of :func:`to_digits`."""
+    """Decode a digit stream; exact inverse of :func:`to_digits`.
+
+    The decoder walks the sorted keys alone.  A caller-supplied ``state`` is
+    then advanced by encoding the decoded symbols on it: decoding and
+    encoding pass through the same states and make the same moves, so its
+    ``counts``, keys and ``comparisons`` end as those of a step-by-step
+    decode.  With no state the pass keeps no bookkeeping.
+    """
     if len(stream) == 0:
         raise ValueError("cannot decode an empty digit stream")
+    ns = stream.ns
     if state is None:
-        state = RankState(stream.ns)
-    elif state.ns != stream.ns:
-        raise ValueError(f"state alphabet {state.ns} != stream alphabet {stream.ns}")
-    symbols = state._walk(stream.digits.tolist(), decode=True)
-    return _trusted(Sequence, symbols, stream.ns)
+        keys = RankState(ns)._keys
+    elif state.ns != ns:
+        raise ValueError(f"state alphabet {state.ns} != stream alphabet {ns}")
+    else:
+        keys = state._keys.copy()
+    seq = _trusted(Sequence, _decode(keys, ns, stream.digits.tolist()), ns)
+    if state is not None:
+        to_digits(seq, state)
+    return seq

@@ -20,21 +20,29 @@ from .entropy import Sequence, _check_ns
 __all__ = ["read_sequence", "write_sequence", "parse_sequence", "format_sequence"]
 
 
+def _decimal(token: str) -> bool:
+    # str.isdigit alone also takes other scripts' digits and superscripts
+    return token.isascii() and token.isdigit()
+
+
 def parse_sequence(text: str) -> Sequence:
-    """Parse the two-line text format; malformed input raises ValueError."""
+    """Parse the two-line text format; malformed input raises ValueError.
+
+    Numbers are ASCII decimal digits, as :func:`format_sequence` writes them.
+    """
     lines = text.split("\n")
     while lines and lines[-1] == "":
         lines.pop()
     if len(lines) != 2:
         raise ValueError(f"expected 2 lines (header + symbols), got {len(lines)}")
     header = lines[0].split(" ")
-    if len(header) != 2 or header[0] != "ns" or not header[1].isdigit():
+    if len(header) != 2 or header[0] != "ns" or not _decimal(header[1]):
         raise ValueError(f"malformed header {lines[0]!r}; expected 'ns <integer>'")
     ns = _check_ns(int(header[1]))
     tokens = lines[1].split()
     if not tokens:
         raise ValueError("no symbols on line 2")
-    if not all(t.isdigit() for t in tokens):
+    if not all(map(_decimal, tokens)):
         raise ValueError("symbols must be non-negative decimal integers")
     symbols = [int(t) for t in tokens]
     # checked before the int64 conversion, which overflows beyond 2**63 - 1
@@ -53,7 +61,7 @@ def read_sequence(source: str | Path | TextIO) -> Sequence:
     else:
         try:
             text = Path(source).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValueError(f"cannot read sequence file {source}: {exc}") from exc
     try:
         return parse_sequence(text)

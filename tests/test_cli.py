@@ -66,6 +66,27 @@ class TestTransformInvert:
         assert main([command, "--in", str(src)]) == 2
         assert capsys.readouterr().err == f"error: {src}: alphabet size must be <= 2**63 - 1, got {ns}\n"
 
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            # an Arabic-Indic three: int() would read it as 3
+            ("ns ٣\n0 1\n".encode(), "malformed header 'ns ٣'; expected 'ns <integer>'"),
+            # a superscript two: isdigit() passes it, int() does not
+            ("ns 3\n0 1²\n".encode(), "symbols must be non-negative decimal integers"),
+            (b"ns 3\n0 \xff 1\n", "cannot read sequence file {src}: 'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["non-ascii-digit-header", "superscript-symbol", "not-utf8"],
+    )
+    @pytest.mark.parametrize("command", ["transform", "invert"])
+    def test_malformed_file_exit_2(self, tmp_path, capsys, command, content, message):
+        src = tmp_path / "in.txt"
+        src.write_bytes(content)
+        assert main([command, "--in", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("error: ") and str(src) in err
+        assert message.format(src=src) in err
+
     def test_alphabet_too_large_for_memory_exit_5(self, tmp_path, capsys):
         # a list of 2**63 - 1 entries fails its size check before allocating
         src = write_seq_file(tmp_path, "in.txt", 9223372036854775807, [0, 1])

@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqshape import (
@@ -12,10 +12,12 @@ from seqshape import (
     Sequence,
     SourceSpec,
     from_digits,
+    inverse_adaptive,
     rank_of_symbol,
     sample,
     symbol_of_rank,
     to_digits,
+    transform_adaptive,
 )
 from seqshape import rankcodec
 
@@ -252,7 +254,7 @@ def encode_both(symbols, ns, make_state):
     """``to_digits`` and the scalar walk from equal start states: (digits, state) each."""
     fast, slow = make_state(), make_state()
     digits = to_digits(seq(symbols, ns), fast).digits.tolist()
-    return (digits, fast), (slow._walk(list(symbols), decode=False), slow)
+    return (digits, fast), (slow._walk(list(symbols)), slow)
 
 
 @pytest.fixture
@@ -261,9 +263,9 @@ def vector_calls(monkeypatch):
     calls = []
     encode = RankState._encode
 
-    def spy(state, symbols):
+    def spy(state, symbols, *args):
         calls.append(len(symbols))
-        return encode(state, symbols)
+        return encode(state, symbols, *args)
 
     monkeypatch.setattr(RankState, "_encode", spy)
     return calls
@@ -323,7 +325,7 @@ class TestVectorEncoder:
             to_digits(seq(symbols[:cut], ns), state).digits.tolist()
             + to_digits(seq(symbols[cut:], ns), state).digits.tolist()
         )
-        assert digits == walked_state._walk(list(symbols), decode=False)
+        assert digits == walked_state._walk(list(symbols))
         assert tuple(digits) == ref_to_digits(symbols, ns)
         assert state.comparisons == ref_bubble_comparisons(symbols, ns)
         assert_same_state(state, walked_state)
@@ -361,6 +363,80 @@ class TestVectorEncoder:
         dec = RankState.from_counts(counts)
         assert from_digits(stream(digits, 3), dec).symbols.tolist() == symbols
         assert_same_state(dec, state)
+
+
+NUMPY_SYMBOLS = rankcodec._NUMPY_SYMBOLS_MIN
+
+
+def assert_reference_state(state, symbols, ns):
+    """``state`` is a fresh state stepped past ``symbols``, as the reference counts it."""
+    counts = [symbols.count(a) for a in range(ns)]
+    keys = sorted(a - c * ns for a, c in enumerate(counts))
+    assert (state.counts, state._keys, state.comparisons) == (counts, keys, ref_bubble_comparisons(symbols, ns))
+
+
+def assert_stateless_passes_match(values, ns, k=1):
+    """Every pass with no state gives what it gives from a fresh ``RankState``.
+
+    ``values`` serve as the symbols to encode and shape and as the digits to
+    decode; the states passed in end where the reference says.
+    """
+    values = list(values)
+    s, d = seq(values, ns), stream(values, ns)
+    state = RankState(ns)
+    digits = to_digits(s, state)
+    assert to_digits(s) == digits
+    assert_reference_state(state, values, ns)
+    state = RankState(ns)
+    decoded = from_digits(d, state)
+    assert from_digits(d) == decoded
+    assert_reference_state(state, decoded.symbols.tolist(), ns)
+    padded = np.concatenate([np.zeros(k, dtype=np.int64), digits.digits])
+    shaped = transform_adaptive(s, k)
+    assert shaped == from_digits(stream(padded, ns), RankState(ns))
+    assert inverse_adaptive(shaped, k) == s
+    assert from_digits(stream(to_digits(shaped, RankState(ns)).digits[k:], ns), RankState(ns)) == s
+
+
+class TestStatelessPasses:
+    """A pass given no state skips the bookkeeping, and nothing it returns changes."""
+
+    @pytest.mark.parametrize("ns,max_length", [(2, 10), (3, 7), (4, 6)])
+    def test_exhaustive_small_spaces(self, ns, max_length):
+        for length in range(1, max_length + 1):
+            for values in itertools.product(range(ns), repeat=length):
+                assert_stateless_passes_match(values, ns, k=1 + length % 2)
+
+    @pytest.mark.parametrize("ns", [2, MAX_NS, MAX_NS + 1])
+    @pytest.mark.parametrize(
+        "length",
+        [NUMPY_SYMBOLS - 2, NUMPY_SYMBOLS - 1, NUMPY_SYMBOLS, MIN_LENGTH - 1, MIN_LENGTH, BLOCK, BLOCK + 1],
+    )
+    def test_both_sides_of_every_size_rule(self, ns, length):
+        # the shaped stream is one digit longer than the sequence, so the
+        # decoder's numpy rule is met from both sides by length and length + 1
+        assert_stateless_passes_match(skewed(ns, length, ns * 10_000 + length), ns)
+
+    @settings(max_examples=40)
+    @given(codec_inputs(max_ns=MAX_NS + 16, max_len=BLOCK + 64), st.integers(1, 3))
+    def test_random_sizes(self, data, k):
+        assert_stateless_passes_match(data[1], data[0], k)
+
+    def test_no_bookkeeping_without_a_state(self, monkeypatch):
+        # the vector encoder given no state leaves it as made, and the decoder
+        # makes one only for the key list it walks: neither counts anything
+        made = []
+        init = RankState.__init__
+
+        def record(state, ns):
+            init(state, ns)
+            made.append(state)
+
+        monkeypatch.setattr(RankState, "__init__", record)
+        symbols = seq(skewed(40, 400, 1), 40)
+        from_digits(to_digits(symbols))
+        assert [(m.counts, m.comparisons) for m in made] == [([0] * 40, 0)] * 2
+        assert made[0]._keys == list(range(40))
 
 
 def assert_as_if_checked(built, public, field):
