@@ -105,7 +105,8 @@ def run_experiment(
     """Run ``trials`` independent shaping trials and aggregate the results.
 
     Aggregation always happens in trial-index order, whatever `workers` is,
-    so results are reproducible bit for bit.
+    so results are reproducible bit for bit.  At most ``trials`` worker
+    processes are started.
     """
     trials = _check_integer(trials, "trials")
     if trials < 1:
@@ -117,6 +118,9 @@ def run_experiment(
     if spec.ns != cfg.ns:
         raise ValueError(f"source alphabet {spec.ns} != shaper alphabet {cfg.ns}")
 
+    # a pool forks all its workers at the first submit, whether or not there
+    # are trials for them
+    workers = min(workers, trials)
     if workers == 1:
         records = [_run_trial(spec, cfg, seed, t) for t in range(trials)]
     else:
@@ -226,6 +230,15 @@ def record_to_dict(record: TrialRecord) -> dict:
     }
 
 
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    # a spec's pmax is stored as given, and may be a numpy float32
+    if isinstance(value, (float, np.floating)):
+        return f"{value:.9g}"
+    return str(value)
+
+
 _RECORD_FIELDS = ("trial", "infc", "tinfc", "dife", "success", "roundtrip_ok")
 _SUMMARY_FIELDS = (
     "medinfc", "medtinfc", "mdife", "cs2", "pcs", "trials",
@@ -264,21 +277,11 @@ def export(
         with path.open("w", newline="") as out:
             writer = csv.writer(out)
             if records is not None:
-                writer.writerow(_RECORD_FIELDS)
-                for r in records:
-                    d = record_to_dict(r)
-                    writer.writerow(
-                        [d["trial"], f"{r.infc:.9g}", f"{r.tinfc:.9g}", f"{r.dife:.9g}",
-                         str(d["success"]).lower(), str(d["roundtrip_ok"]).lower()]
-                    )
+                fields, rows = _RECORD_FIELDS, [vars(r) for r in records]
             else:
-                writer.writerow(_SUMMARY_FIELDS)
-                for s in summaries:
-                    writer.writerow(
-                        [f"{s.medinfc:.9g}", f"{s.medtinfc:.9g}", f"{s.mdife:.9g}",
-                         s.cs2, f"{s.pcs:.9g}", s.trials,
-                         s.spec.ns, s.spec.n, f"{s.spec.pmax:.9g}",
-                         s.strategy, s.k, s.seed]
-                    )
+                # a summary's table row takes ns, n and pmax from its spec
+                fields, rows = _SUMMARY_FIELDS, [{**vars(s), **vars(s.spec)} for s in summaries]
+            writer.writerow(fields)
+            writer.writerows([_csv_cell(row[field]) for field in fields] for row in rows)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc

@@ -15,19 +15,14 @@ the symbols (each key ``% ns``) are taken once, at the end of the walk.  The
 encoder needs no walk, as a symbol's rank depends only on the counts of
 earlier positions, and a cumulative sum gives those for every position at
 once.  A long sequence (``_VECTOR_MIN_LENGTH`` symbols or more) over a small
-alphabet (at most ``_VECTOR_MAX_NS`` symbols) is encoded that way, in numpy,
-with int32 keys where they fit; shorter sequences, larger alphabets and
-counts too large for int64 keys take the scalar walk.  Both give the same
-digits.
+alphabet (at most ``_VECTOR_MAX_NS`` symbols) encoded with no state is taken
+that way, in numpy with int32 keys; every other encode is the scalar walk.
+Both give the same digits.
 
-A pass with no :class:`RankState` from its caller skips the bookkeeping
-nobody could read: the vector encoder finds each digit and leaves its state
-as it was made, and the decoder neither counts comparisons nor rebuilds
-``counts``.  (The scalar encode walk keeps its counts, which its keys are
-made from, and its one-line comparison tally.)  A pass given a state leaves
-it exactly as a step-by-step walk would: ``counts``, keys and the
-``comparisons`` counter.  So ``comparisons`` is exact on a caller's state
-only.
+A caller's :class:`RankState` is only ever advanced by that walk, so its
+``counts``, keys and ``comparisons`` have one definition.  A pass given no
+state keeps nothing beyond its output: the vector encoder and the decoder
+start from the identity keys and build no state at all.
 
 Frequently seen symbols sit at low ranks, so on skewed sources the digit
 stream concentrates near digit 0 while remaining a bijection on the full
@@ -59,8 +54,9 @@ _VECTOR_MIN_LENGTH = 128
 _VECTOR_MAX_NS = 64
 # positions per key matrix, so memory stays O(ns * block) at any length
 _VECTOR_BLOCK = 2048
-# keys and key - ns stay inside int64 while ns * (max count + length) is below this
-_VECTOR_KEY_LIMIT = 2**62
+# every key of a pass from the identity keys lies in (-ns * (length + 1), ns):
+# inside int32 while ns * (length + 1) is below this
+_VECTOR_KEY_LIMIT = 2**31
 # from this many digits on, the decoder takes its symbols from the recorded
 # keys with one numpy `%`; below it a list comprehension is faster
 _NUMPY_SYMBOLS_MIN = 32
@@ -89,6 +85,17 @@ class DigitStream:
     __hash__ = None
 
 
+def _identity_keys(ns: int) -> list:
+    """The sorted keys before any symbol is seen: each symbol's own id."""
+    try:
+        return list(range(ns))
+    except MemoryError:
+        raise MemoryError(
+            f"alphabet size {ns}: the rank codec keeps a key per symbol of the "
+            f"alphabet, a list of {ns} entries"
+        ) from None
+
+
 class RankState:
     """Running symbol-frequency ranking over an alphabet of ``ns`` symbols.
 
@@ -97,29 +104,17 @@ class RankState:
     symbol at a rank is ``key % ns``.  A step lowers the symbol's key by ``ns``
     and moves it from rank ``p`` up to the rank ``q <= p`` a bisect finds.
     ``comparisons`` counts what an upward bubble making that move compares,
-    ``p - q + (q > 0) + 1`` keys, O(L * ns) per pass at worst.  The
-    vector encoder (:meth:`_encode`) makes no moves and adds the same count by
-    formula from its ``p`` and ``q``; a decode adds what encoding its output
-    adds, as the two pass through the same states.
-
-    The counter is exact on a state a caller passes to :func:`to_digits` or
-    :func:`from_digits`.  The state those functions make when given none is
-    dropped on return, so they keep no bookkeeping on it: the vector encoder
-    leaves it as it was made and the decoder walks a key list alone.
+    ``p - q + (q > 0) + 1`` keys, O(L * ns) per pass at worst.  A state passed
+    to :func:`to_digits` or :func:`from_digits` is advanced by :meth:`_walk`
+    alone, so the counter is exact on it.
     """
 
     __slots__ = ("ns", "counts", "_keys", "comparisons")
 
     def __init__(self, ns: int):
         self.ns = _check_ns(ns)
-        try:
-            self.counts = [0] * self.ns
-            self._keys = list(range(self.ns))
-        except MemoryError:
-            raise MemoryError(
-                f"alphabet size {self.ns}: the rank codec keeps a count and a key "
-                f"per symbol of the alphabet, two lists of {self.ns} entries"
-            ) from None
+        self._keys = _identity_keys(self.ns)
+        self.counts = [0] * self.ns
         self.comparisons = 0
 
     @classmethod
@@ -167,55 +162,34 @@ class RankState:
         self.comparisons += 2 * len(ranks) - ranks.count(0) + moved
         return ranks
 
-    def _encode(self, symbols: np.ndarray, keep: bool) -> np.ndarray:
-        """The ranks of ``symbols`` stepped past in turn; :meth:`_walk` without the walk.
 
-        Row ``i`` of a block's key matrix holds every symbol's key before
-        position ``i``: the state's keys in row 0, then a cumulative sum of
-        ``-ns`` at ``(i + 1, symbol_i)``.  The digit is ``p_i``, the number of
-        keys in row ``i`` below the symbol's own key ``k_i``.  The matrix is
-        int32 when every key fits, which halves the memory the cumulative sum
-        and the comparisons read; the code is the same.
+def _encode(symbols: np.ndarray, ns: int) -> np.ndarray:
+    """The ranks of ``symbols`` stepped past in turn from the identity keys; ``_walk`` without the walk.
 
-        Only with ``keep`` does the state advance: ``counts`` and the keys are
-        taken from the last row, and ``comparisons`` adds what the walk's
-        upward bubble would compare, ``p_i - q_i + (q_i > 0) + 1`` keys at a
-        step, where the rank after the step ``q_i`` is the number of keys in
-        row ``i`` below ``k_i - ns``.  Without it the state is left as it was.
-        """
-        ns = self.ns
-        step = min(symbols.size, _VECTOR_BLOCK)
-        # every key and key - ns lies in [-bound, ns)
-        bound = ns * (max(self.counts) + symbols.size + 1)
-        dtype = np.int32 if bound < 2**31 else np.int64
-        # one buffer serves every block: with a matrix per block two were alive
-        # at once, and freeing them made the allocator hand the memory back to
-        # the system, to fault it in again on the next call
-        matrix = np.empty((step + 1, ns), dtype=dtype)
-        matrix[0] = [a - c * ns for a, c in enumerate(self.counts)]
-        digits = np.empty(symbols.size, dtype=np.int64)
-        comparisons = 0
-        for start in range(0, symbols.size, step):
-            block = symbols[start:start + step]
-            size = block.size
-            rows = np.arange(size)
-            keys = matrix[:size + 1]
-            keys[1:] = 0
-            keys.reshape(-1)[block + ns * (rows + 1)] = -ns
-            np.cumsum(keys, axis=0, out=keys)
-            own = keys[rows, block][:, None]
-            p = np.einsum("ij->i", (keys[:size] < own).view(np.uint8))
-            if keep:
-                q = np.einsum("ij->i", (keys[:size] < own - ns).view(np.uint8))
-                comparisons += int((p - q).sum()) + int(np.count_nonzero(q)) + size
-            digits[start:start + size] = p
-            matrix[0] = keys[size]
-        if keep:
-            keys = matrix[0].tolist()
-            self.counts = [(a - key) // ns for a, key in enumerate(keys)]
-            self._keys = sorted(keys)
-            self.comparisons += comparisons
-        return digits
+    Row ``i`` of a block's int32 key matrix holds every symbol's key before
+    position ``i``: the identity keys in row 0, then a cumulative sum of
+    ``-ns`` at ``(i + 1, symbol_i)``.  The digit is ``p_i``, the number of
+    keys in row ``i`` below the symbol's own key.
+    """
+    step = min(symbols.size, _VECTOR_BLOCK)
+    # one buffer serves every block: with a matrix per block two were alive
+    # at once, and freeing them made the allocator hand the memory back to
+    # the system, to fault it in again on the next call
+    matrix = np.empty((step + 1, ns), dtype=np.int32)
+    matrix[0] = np.arange(ns)
+    digits = np.empty(symbols.size, dtype=np.int64)
+    for start in range(0, symbols.size, step):
+        block = symbols[start:start + step]
+        size = block.size
+        rows = np.arange(size)
+        keys = matrix[:size + 1]
+        keys[1:] = 0
+        keys.reshape(-1)[block + ns * (rows + 1)] = -ns
+        np.cumsum(keys, axis=0, out=keys)
+        own = keys[rows, block][:, None]
+        digits[start:start + size] = np.einsum("ij->i", (keys[:size] < own).view(np.uint8))
+        matrix[0] = keys[size]
+    return digits
 
 
 def _decode(keys: list, ns: int, digits: list):
@@ -268,35 +242,25 @@ def to_digits(seq: Sequence, state: RankState | None = None) -> DigitStream:
 
     Each digit is the symbol's rank given the counts of all earlier positions;
     the state advances after every emission.  A caller-supplied ``state`` is
-    consumed in place (useful for streaming or for instrumentation): its
-    ``counts``, keys and ``comparisons`` end exactly as a step-by-step walk
-    leaves them.  With no state the pass keeps no bookkeeping beyond what
-    its digits need.
-
-    A sequence of at least ``_VECTOR_MIN_LENGTH`` symbols over at most
-    ``_VECTOR_MAX_NS`` is encoded in numpy, every rank from one cumulative
-    sum of keys per block of positions, with ``state.comparisons`` advanced
-    by formula; anything else, or a state whose counts would overflow int64
-    keys, takes the scalar walk.  The digits and the final state are the
+    consumed in place by the scalar walk (useful for streaming or for
+    instrumentation): its ``counts``, keys and ``comparisons`` end as a
+    step-by-step walk leaves them.  With no state, a sequence of at least
+    ``_VECTOR_MIN_LENGTH`` symbols over at most ``_VECTOR_MAX_NS`` is encoded
+    in numpy, every rank from one cumulative sum of keys per block of
+    positions; anything else is walked on a fresh state.  The digits are the
     same on either path.
     """
     length = len(seq)
     if length == 0:
         raise ValueError("cannot encode an empty sequence")
-    keep = state is not None
-    if not keep:
-        state = RankState(seq.ns)
-    elif state.ns != seq.ns:
-        raise ValueError(f"state alphabet {state.ns} != sequence alphabet {seq.ns}")
-    if (
-        length >= _VECTOR_MIN_LENGTH
-        and state.ns <= _VECTOR_MAX_NS
-        and state.ns * (max(state.counts) + length) < _VECTOR_KEY_LIMIT
-    ):
-        digits = state._encode(seq.symbols, keep)
-    else:
-        digits = state._walk(seq.symbols.tolist())
-    return _trusted(DigitStream, digits, seq.ns)
+    ns = seq.ns
+    if state is None:
+        if length >= _VECTOR_MIN_LENGTH and ns <= _VECTOR_MAX_NS and ns * (length + 1) < _VECTOR_KEY_LIMIT:
+            return _trusted(DigitStream, _encode(seq.symbols, ns), ns)
+        state = RankState(ns)
+    elif state.ns != ns:
+        raise ValueError(f"state alphabet {state.ns} != sequence alphabet {ns}")
+    return _trusted(DigitStream, state._walk(seq.symbols.tolist()), ns)
 
 
 def from_digits(stream: DigitStream, state: RankState | None = None) -> Sequence:
@@ -312,7 +276,7 @@ def from_digits(stream: DigitStream, state: RankState | None = None) -> Sequence
         raise ValueError("cannot decode an empty digit stream")
     ns = stream.ns
     if state is None:
-        keys = RankState(ns)._keys
+        keys = _identity_keys(ns)
     elif state.ns != ns:
         raise ValueError(f"state alphabet {state.ns} != stream alphabet {ns}")
     else:

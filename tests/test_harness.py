@@ -41,6 +41,29 @@ class TestRunExperiment:
         assert s1 == s2
         assert r1 == r2
 
+    def test_pool_no_larger_than_the_trials(self, monkeypatch):
+        # a pool forks all its workers at the first submit, so more workers
+        # than trials would only start idle processes; an in-process stand-in
+        # records the pool size without starting any
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", InProcessPool)
+        assert small_run(trials=3, workers=8) == small_run(trials=3, workers=1)
+        assert sizes == [3]
+
     def test_degenerate_single_symbol_length(self):
         spec = SourceSpec(ns=2, n=1, pmax=0.5)
         summary, records = run_experiment(spec, ShaperConfig(ns=2), 50, 3)
@@ -189,6 +212,32 @@ class TestExport:
         parsed = [float(r[1]) for r in rows[1:]]
         assert parsed == [float(f"{r.infc:.9g}") for r in records]
         assert {r[4] for r in rows[1:]} <= {"true", "false"}
+
+    def test_csv_bytes(self, tmp_path):
+        # both CSV tables of seeded runs, byte for byte: the records of an
+        # exact-sorted run (successes and failures, integral and fractional
+        # values) and the summaries of it, of an adaptive-rank run and of a
+        # run whose pmax is a numpy float32
+        exact, exact_records = run_experiment(
+            SourceSpec(ns=3, n=6, pmax=0.5), ShaperConfig(ns=3, strategy=EXACT_SORTED, k=2), 4, 5
+        )
+        adaptive, _ = small_run(trials=3)
+        single, _ = run_experiment(SourceSpec(ns=3, n=6, pmax=np.float32(0.3)), ShaperConfig(ns=3), 2, 5)
+        export([exact], exact_records, tmp_path / "records.csv", "csv")
+        export([adaptive, exact, single], None, tmp_path / "summaries.csv", "csv")
+        assert (tmp_path / "records.csv").read_bytes() == (
+            b"trial,infc,tinfc,dife,success,roundtrip_ok\r\n"
+            b"0,8.7548875,8,0.754887502,true,true\r\n"
+            b"1,3.90013453,4.34851555,-0.448381016,false,true\r\n"
+            b"2,9.509775,8,1.509775,true,true\r\n"
+            b"3,8.7548875,7.63547202,1.11941548,true,true\r\n"
+        )
+        assert (tmp_path / "summaries.csv").read_bytes() == (
+            b"medinfc,medtinfc,mdife,cs2,pcs,trials,ns,n,pmax,strategy,k,seed\r\n"
+            b"146.710763,150.229461,-3.51869806,0,0,3,8,60,0.5,adaptive-rank,1,11\r\n"
+            b"7.72992113,6.99599689,0.733924242,3,75,4,3,6,0.5,exact-sorted,2,5\r\n"
+            b"7.509775,10.2740407,-2.7642657,0,0,2,3,6,0.300000012,adaptive-rank,1,5\r\n"
+        )
 
     def test_csv_header_only_when_empty(self, tmp_path):
         out = tmp_path / "empty.csv"

@@ -160,6 +160,15 @@ class TestDigitCodec:
         with pytest.raises(ValueError):
             from_digits(stream([0], 3), RankState(2))
 
+    def test_alphabet_too_large_for_memory(self):
+        # a list of 2**63 - 1 entries fails its size check before allocating
+        ns = 2**63 - 1
+        message = f"alphabet size {ns}: the rank codec keeps a key per symbol"
+        with pytest.raises(MemoryError, match=message):
+            to_digits(seq([0, 1], ns))
+        with pytest.raises(MemoryError, match=message):
+            from_digits(stream([0, 1], ns))
+
     def test_out_of_range_digit(self):
         with pytest.raises(ValueError):
             stream([0, 3], 3)
@@ -261,13 +270,13 @@ def encode_both(symbols, ns, make_state):
 def vector_calls(monkeypatch):
     """The lengths ``to_digits`` hands to the vector encoder, in call order."""
     calls = []
-    encode = RankState._encode
+    encode = rankcodec._encode
 
-    def spy(state, symbols, *args):
+    def spy(symbols, ns):
         calls.append(len(symbols))
-        return encode(state, symbols, *args)
+        return encode(symbols, ns)
 
-    monkeypatch.setattr(RankState, "_encode", spy)
+    monkeypatch.setattr(rankcodec, "_encode", spy)
     return calls
 
 
@@ -295,12 +304,15 @@ class TestVectorEncoder:
         [MIN_LENGTH - 1, MIN_LENGTH, MIN_LENGTH + 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1],
     )
     def test_matches_reference_and_walk(self, ns, length):
+        # with no state the long inputs over small alphabets take the vector
+        # encoder; a caller's state is walked at every size
         symbols = skewed(ns, length, ns * 10_000 + length)
-        (digits, state), (walked, walked_state) = encode_both(symbols, ns, lambda: RankState(ns))
-        assert digits == walked
+        digits = to_digits(seq(symbols, ns)).digits.tolist()
+        assert digits == RankState(ns)._walk(list(symbols))
         assert tuple(digits) == ref_to_digits(symbols, ns)
-        assert state.comparisons == ref_bubble_comparisons(symbols, ns)
-        assert_same_state(state, walked_state)
+        state = RankState(ns)
+        assert to_digits(seq(symbols, ns), state).digits.tolist() == digits
+        assert_reference_state(state, symbols, ns)
 
     @pytest.mark.parametrize("ns", [2, 30, MAX_NS, MAX_NS + 1])
     def test_from_counts_start_states(self, ns):
@@ -331,38 +343,43 @@ class TestVectorEncoder:
         assert_same_state(state, walked_state)
 
     @pytest.mark.parametrize("ns", [2, 3])
-    @pytest.mark.parametrize("past", [-1, 1])
-    def test_int32_key_boundary(self, vector_calls, ns, past):
-        # symbol 0 holds the largest count and comes at every position, so the
-        # last row holds the lowest key, -ns * (count + length): with past=-1
-        # ns * (count + length + 1) is the largest below 2**31 (int32 keys),
-        # with past=1 the lowest key itself is below -2**31
+    @pytest.mark.parametrize("past", [-1, 0, 1])
+    def test_int32_key_boundary(self, monkeypatch, vector_calls, ns, past):
+        # a stateless pass's keys lie in (-ns * (length + 1), ns), so int32
+        # keys hold them while ns * (length + 1) is below the limit; with the
+        # limit one above that product (past=-1), equal to it (0) or one
+        # below it (1), only the first sends the input to the vector encoder,
+        # and the digits are the same
+        assert rankcodec._VECTOR_KEY_LIMIT == 2**31
         length = MIN_LENGTH
-        count = (2**31 - 1) // ns - length - 1 if past < 0 else 2**31 // ns - length + 1
-        assert (ns * (count + length + 1) < 2**31) == (past < 0)
-        assert (ns * (count + length) > 2**31) == (past > 0)
-        symbols = [0] * length
-        (digits, state), (walked, walked_state) = encode_both(
-            symbols, ns, lambda: RankState.from_counts([count] + [0] * (ns - 1))
-        )
-        assert vector_calls == [length]
-        assert digits == walked == [0] * length
-        assert_same_state(state, walked_state)
+        monkeypatch.setattr(rankcodec, "_VECTOR_KEY_LIMIT", ns * (length + 1) - past)
+        symbols = skewed(ns, length, ns)
+        digits = to_digits(seq(symbols, ns)).digits.tolist()
+        assert vector_calls == ([length] if past < 0 else [])
+        assert tuple(digits) == ref_to_digits(symbols, ns)
 
-    def test_counts_beyond_int64_keys_take_the_walk(self, vector_calls):
+    def test_a_callers_state_always_walks(self, vector_calls):
+        symbols = skewed(30, 2 * MIN_LENGTH, 3)
+        state = RankState(30)
+        digits = to_digits(seq(symbols, 30), state)
+        assert vector_calls == []
+        assert_reference_state(state, symbols, 30)
+        assert to_digits(seq(symbols, 30)) == digits
+        assert vector_calls == [2 * MIN_LENGTH]
+        # counts beyond int64 keys are walked too, and the decoder's recorded
+        # keys are beyond int64 as well
         counts = (2**70, 0, 0)
         symbols = skewed(3, 2 * MIN_LENGTH, 3)
         (digits, state), (walked, walked_state) = encode_both(
             symbols, 3, lambda: RankState.from_counts(counts)
         )
-        assert vector_calls == []
         assert digits == walked
         assert_same_state(state, walked_state)
         assert state.counts[0] == 2**70 + symbols.count(0)
-        # the decoder's recorded keys are beyond int64 too
         dec = RankState.from_counts(counts)
         assert from_digits(stream(digits, 3), dec).symbols.tolist() == symbols
         assert_same_state(dec, state)
+        assert vector_calls == [2 * MIN_LENGTH]
 
 
 NUMPY_SYMBOLS = rankcodec._NUMPY_SYMBOLS_MIN
@@ -423,8 +440,8 @@ class TestStatelessPasses:
         assert_stateless_passes_match(data[1], data[0], k)
 
     def test_no_bookkeeping_without_a_state(self, monkeypatch):
-        # the vector encoder given no state leaves it as made, and the decoder
-        # makes one only for the key list it walks: neither counts anything
+        # the vector encoder and the decoder start from the identity keys:
+        # a stateless round trip at a Table-1 size builds no RankState
         made = []
         init = RankState.__init__
 
@@ -434,9 +451,8 @@ class TestStatelessPasses:
 
         monkeypatch.setattr(RankState, "__init__", record)
         symbols = seq(skewed(40, 400, 1), 40)
-        from_digits(to_digits(symbols))
-        assert [(m.counts, m.comparisons) for m in made] == [([0] * 40, 0)] * 2
-        assert made[0]._keys == list(range(40))
+        assert from_digits(to_digits(symbols)) == symbols
+        assert made == []
 
 
 def assert_as_if_checked(built, public, field):
