@@ -204,14 +204,14 @@ def _decode(keys: list, ns: int, digits: list):
     out = []
     append = out.append
     for p in digits:
-        key = keys[p] - ns
-        append(key)
         if p:
-            q = bisect_left(keys, key)
-            del keys[p]
-            keys.insert(q, key)
+            # every key the bisect counts lies before rank p, so it finds
+            # the same place with the moved key already popped
+            key = keys.pop(p) - ns
+            keys.insert(bisect_left(keys, key), key)
         else:
-            keys[0] = key
+            key = keys[0] = keys[0] - ns
+        append(key)
     if len(out) < _NUMPY_SYMBOLS_MIN:
         return [key % ns for key in out]
     # a symbol's key only falls, so every recorded key lies in [keys[0], ns);
