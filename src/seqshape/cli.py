@@ -61,6 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--workers", type=int, default=1)
     experiment.add_argument("--out", default=None, help="write results to this path")
     experiment.add_argument("--format", choices=("csv", "json"), default="json")
+    experiment.add_argument("--max-space", type=int, default=DEFAULT_MAX_SPACE,
+                            help="largest exact-sorted space (sequences) to tabulate")
 
     run = sub.add_parser("run", parents=[experiment], help="run one seeded shaping experiment")
     run.add_argument("--ns", type=int, required=True, help="alphabet size")
@@ -96,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     spec = SourceSpec(ns=args.ns, n=args.n, pmax=args.pmax)
-    cfg = ShaperConfig(ns=args.ns, strategy=args.strategy, k=args.k)
+    cfg = ShaperConfig(ns=args.ns, strategy=args.strategy, k=args.k, max_space=args.max_space)
     summary, records = run_experiment(spec, cfg, args.trials, args.seed, workers=args.workers)
     print(f"mean input info  (n*H0(s))       : {summary.medinfc:.6f} bits")
     print(f"mean shaped info ((n+k)*H0(f(s))): {summary.medtinfc:.6f} bits")
@@ -110,7 +112,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = ShaperConfig(ns=2, strategy=args.strategy, k=args.k)
+    cfg = ShaperConfig(ns=2, strategy=args.strategy, k=args.k, max_space=args.max_space)
     summaries = sweep_table1(cfg, trials=args.trials, seed=args.seed, workers=args.workers)
     print(format_table1_comparison(summaries))
     if args.out:

@@ -7,13 +7,17 @@ A round-trip failure is a correctness bug, not a statistic: it aborts the run
 with the offending trial index.
 
 Trials are independent with per-trial substreams, so the same master seed
-gives bitwise-identical records and summaries for any worker count.
+gives bitwise-identical records and summaries for any worker count.  At more
+than one worker an experiment maps its trials on a process pool of at most
+``trials`` workers; the rows of a Table-1 sweep share one such pool, which
+the sweep shuts down before it returns or raises.
 """
 from __future__ import annotations
 
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -95,6 +99,20 @@ def _run_trial(spec: SourceSpec, cfg: ShaperConfig, seed: int, trial: int) -> Tr
     )
 
 
+def _check_counts(trials: int, workers: int) -> tuple[int, int]:
+    trials = _check_integer(trials, "trials")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    workers = _check_integer(workers, "workers")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return trials, workers
+
+
+# the pool a Table-1 sweep opens for all its rows, set only while it runs
+_sweep_pool: ProcessPoolExecutor | None = None
+
+
 def run_experiment(
     spec: SourceSpec,
     cfg: ShaperConfig,
@@ -105,15 +123,11 @@ def run_experiment(
     """Run ``trials`` independent shaping trials and aggregate the results.
 
     Aggregation always happens in trial-index order, whatever `workers` is,
-    so results are reproducible bit for bit.  At most ``trials`` worker
-    processes are started.
+    so results are reproducible bit for bit.  At more than one worker the
+    trials run on the pool of the sweep in progress, if there is one, or
+    else on a pool of at most ``trials`` processes opened and joined here.
     """
-    trials = _check_integer(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    workers = _check_integer(workers, "workers")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    trials, workers = _check_counts(trials, workers)
     seed = _check_master_seed(seed)
     if spec.ns != cfg.ns:
         raise ValueError(f"source alphabet {spec.ns} != shaper alphabet {cfg.ns}")
@@ -125,17 +139,12 @@ def run_experiment(
         records = [_run_trial(spec, cfg, seed, t) for t in range(trials)]
     else:
         chunksize = max(1, trials // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(
-                    _run_trial,
-                    [spec] * trials,
-                    [cfg] * trials,
-                    [seed] * trials,
-                    range(trials),
-                    chunksize=chunksize,
-                )
-            )
+        jobs = (_run_trial, [spec] * trials, [cfg] * trials, [seed] * trials, range(trials))
+        if _sweep_pool is not None:
+            records = list(_sweep_pool.map(*jobs, chunksize=chunksize))
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                records = list(pool.map(*jobs, chunksize=chunksize))
 
     infc = np.array([r.infc for r in records])
     tinfc = np.array([r.tinfc for r in records])
@@ -175,13 +184,26 @@ def sweep_table1(
     seed: int = 0,
     workers: int = 1,
 ) -> list[ExperimentSummary]:
-    """Run the reference benchmark grid; ``cfg.ns`` is overridden per row."""
+    """Run the reference benchmark grid; ``cfg.ns`` is overridden per row.
+
+    Each row is one :func:`run_experiment` call.  At more than one worker the
+    rows share one pool of at most ``trials`` processes, opened once for the
+    sweep and joined before it returns or raises.
+    """
+    global _sweep_pool
+    trials, workers = _check_counts(trials, workers)
     summaries = []
-    for ns in TABLE1_GRID:
-        spec = SourceSpec(ns=ns, n=TABLE1_N, pmax=TABLE1_PMAX)
-        row_cfg = replace(cfg, ns=ns)
-        summary, _ = run_experiment(spec, row_cfg, trials, seed, workers=workers)
-        summaries.append(summary)
+    pool_size = min(workers, trials)
+    with ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else nullcontext() as pool:
+        _sweep_pool = pool
+        try:
+            for ns in TABLE1_GRID:
+                spec = SourceSpec(ns=ns, n=TABLE1_N, pmax=TABLE1_PMAX)
+                row_cfg = replace(cfg, ns=ns)
+                summary, _ = run_experiment(spec, row_cfg, trials, seed, workers=workers)
+                summaries.append(summary)
+        finally:
+            _sweep_pool = None
     return summaries
 
 

@@ -193,6 +193,20 @@ class TestRunAndSweep:
         assert main(["run", "--ns", "5", "--len", "30", "--pmax", "0.5", "--trials", "4"]) == 4
         assert "round-trip failure" in capsys.readouterr().err
 
+    def test_run_max_space_exit_2(self, capsys, monkeypatch):
+        # 64^4 sequences are inside the default bound, so only the option
+        # given can stop the first trial before its order build
+        def no_build(*args):
+            raise AssertionError("order build started")
+
+        monkeypatch.setattr(shaping, "_multisets", no_build)
+        monkeypatch.setattr(shaping, "_digit_rows", no_build)
+        argv = ["run", "--ns", "64", "--len", "3", "--pmax", "0.5", "--trials", "2",
+                "--strategy", "exact-sorted", "--max-space", "4096"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: 64^4 = 16777216 sequences exceed the enumeration bound 4096\n"
+
     def test_sweep_renders_reference_comparison(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
         code = main(["sweep", "--table1", "--trials", "2", "--seed", "1",

@@ -12,12 +12,10 @@ long:
   adaptive-rank codec still builds two lists of ``ns`` entries per pass
   whatever the sequence holds (10^9 would be gigabytes);
 - ``--k`` stays at or below 64 and ``--trials`` at or below 3;
-- ``--max-space`` stays at or below 2^10, so ``transform``, ``invert`` and
-  ``oracle --validate`` build and drive only small exact-sorted spaces;
-- ``run`` has no ``--max-space``, so its exact-sorted cases keep to spaces
-  of at most 2^12 sequences or beyond the default 2^24 bound, which is
-  rejected before any build (on a 2-CPU Xeon a build near that bound took
-  about a second and 150-180 MB);
+- ``--max-space`` stays at or below 2^10, so ``transform``, ``invert``,
+  ``run`` and ``oracle --validate`` build and drive only small exact-sorted
+  spaces (on a 2-CPU Xeon a build near the default 2^24 bound took about a
+  second and 150-180 MB);
 - ``run`` gets one worker, so no case starts a process.
 """
 import contextlib
@@ -27,17 +25,16 @@ import tempfile
 from datetime import timedelta
 from pathlib import Path
 
-from hypothesis import assume, event, given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from seqshape.cli import main
-from seqshape.shaping import DEFAULT_MAX_SPACE, EXACT_SORTED, STRATEGIES
+from seqshape.shaping import STRATEGIES
 
 MAX_NS = 10**4
 MAX_K = 64
 MAX_TRIALS = 3
 MAX_SPACE = 2**10
-RUN_MAX_SPACE = 2**12
 
 # each case is small; the bound catches one that is not
 FUZZ = settings(max_examples=100, deadline=timedelta(seconds=20))
@@ -62,13 +59,6 @@ def int_arg(*ranges):
 
 def optional(flag, values):
     return st.one_of(st.just([]), values.map(lambda value: [flag, value]))
-
-
-def as_int(text):
-    try:
-        return int(text)
-    except ValueError:
-        return None
 
 
 @st.composite
@@ -169,15 +159,12 @@ def test_oracle(ns, n, k, validate, max_space):
     strategy=st.one_of(st.just(None), STRATEGY_ARGS),
     out=optional("--out", PATHS),
     export_format=optional("--format", mostly(st.sampled_from(["csv", "json"]), st.just("xml"))),
+    max_space=int_arg((2, MAX_SPACE)),
 )
-def test_run(ns, n, pmax, trials, seed, k, strategy, out, export_format):
-    if strategy == EXACT_SORTED:
-        space = [as_int(ns), as_int(n), 1 if k is None else as_int(k)]
-        if None not in space and space[0] >= 2 and space[1] >= 1 and space[2] >= 1:
-            assume(not RUN_MAX_SPACE < space[0] ** (space[1] + space[2]) <= DEFAULT_MAX_SPACE)
+def test_run(ns, n, pmax, trials, seed, k, strategy, out, export_format, max_space):
     # --trials is always given: its default is 1000
     argv = ["run", "--ns", ns, "--len", n, "--pmax", pmax, "--trials", trials, *seed, "--workers", "1",
-            *out, *export_format]
+            *out, *export_format, "--max-space", max_space]
     argv += [] if k is None else ["--k", k]
     argv += [] if strategy is None else ["--strategy", strategy]
     with tempfile.TemporaryDirectory() as workdir:

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import multiprocessing
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +30,52 @@ def small_run(trials=30, workers=1, seed=11):
     return run_experiment(spec, cfg, trials, seed, workers=workers)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The sizes of the pools ``harness`` opens, each run in this process by a stand-in.
+
+    A pool forks all its workers at the first submit; the stand-in records
+    the size it is given without starting any, and ``pools.open`` counts the
+    pools not yet closed.
+    """
+    record = SimpleNamespace(sizes=[], open=0)
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            record.sizes.append(max_workers)
+            record.open += 1
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            record.open -= 1
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", InProcessPool)
+    return record
+
+
+def corrupt_inverse_at(ns, trial):
+    """An inverse that returns a wrong sequence for one in-process trial of the ``ns`` row."""
+    real_inverse = harness_mod.inverse_transform
+    calls = {"n": 0}
+
+    def inverse(y, cfg):
+        if cfg.ns == ns:
+            calls["n"] += 1
+            if calls["n"] == trial + 1:
+                from conftest import seq
+
+                return seq([0] * (len(y) - cfg.k), cfg.ns)
+        return real_inverse(y, cfg)
+
+    return inverse
+
+
 class TestRunExperiment:
     def test_deterministic_across_reruns(self):
         s1, r1 = small_run()
@@ -41,28 +89,11 @@ class TestRunExperiment:
         assert s1 == s2
         assert r1 == r2
 
-    def test_pool_no_larger_than_the_trials(self, monkeypatch):
-        # a pool forks all its workers at the first submit, so more workers
-        # than trials would only start idle processes; an in-process stand-in
-        # records the pool size without starting any
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", InProcessPool)
+    def test_pool_no_larger_than_the_trials(self, pools):
+        # more workers than trials would only start idle processes
         assert small_run(trials=3, workers=8) == small_run(trials=3, workers=1)
-        assert sizes == [3]
+        assert pools.sizes == [3]
+        assert pools.open == 0
 
     def test_degenerate_single_symbol_length(self):
         spec = SourceSpec(ns=2, n=1, pmax=0.5)
@@ -154,6 +185,46 @@ class TestSweep:
         assert len(summaries) == 4
         assert [s.spec.ns for s in summaries] == list(TABLE1_GRID)
         assert all(s.spec.n == 400 and s.spec.pmax == 0.5 for s in summaries)
+
+    def test_rows_share_one_pool(self, pools):
+        cfg = ShaperConfig(ns=2)
+        assert sweep_table1(cfg, trials=3, seed=4, workers=2) == sweep_table1(cfg, trials=3, seed=4)
+        assert pools.sizes == [2]
+        assert pools.open == 0
+        assert harness_mod._sweep_pool is None
+
+    def test_single_trial_opens_no_pool(self, pools):
+        sweep_table1(ShaperConfig(ns=2), trials=1, seed=4, workers=4)
+        assert pools.sizes == []
+
+    def test_failing_row_closes_the_shared_pool(self, pools, monkeypatch):
+        monkeypatch.setattr(harness_mod, "inverse_transform", corrupt_inverse_at(ns=50, trial=1))
+        with pytest.raises(RoundTripError, match="trial 1"):
+            sweep_table1(ShaperConfig(ns=2), trials=3, seed=4, workers=2)
+        assert pools.sizes == [2]
+        assert pools.open == 0
+        assert harness_mod._sweep_pool is None
+        # with no sweep running, an experiment opens and closes its own pool
+        small_run(trials=3, workers=2)
+        assert pools.sizes == [2, 2]
+        assert pools.open == 0
+
+    def test_two_processes_match_one(self):
+        cfg = ShaperConfig(ns=2)
+        assert sweep_table1(cfg, trials=3, seed=4, workers=2) == sweep_table1(cfg, trials=3, seed=4)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the pool's workers must inherit the corrupted inverse",
+    )
+    def test_failing_row_leaves_no_worker_running(self, monkeypatch):
+        # each worker counts its own calls, so only trial 0 is sure to fail
+        monkeypatch.setattr(harness_mod, "inverse_transform", corrupt_inverse_at(ns=50, trial=0))
+        with pytest.raises(RoundTripError, match="trial 0"):
+            sweep_table1(ShaperConfig(ns=2), trials=3, seed=4, workers=2)
+        assert harness_mod._sweep_pool is None
+        assert multiprocessing.active_children() == []
 
     def test_rendered_comparison_includes_reference_columns(self):
         summaries = sweep_table1(ShaperConfig(ns=2), trials=2, seed=1)
