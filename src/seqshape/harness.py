@@ -109,7 +109,10 @@ def _check_counts(trials: int, workers: int) -> tuple[int, int]:
     return trials, workers
 
 
-# the pool a Table-1 sweep opens for all its rows, set only while it runs
+# the pool a Table-1 sweep opens for all its rows, set only while it runs; a
+# slot rather than an argument, so that each row stays one plain
+# run_experiment(spec, cfg, trials, seed, workers=...) call, which perfbench's
+# table1 workload wraps
 _sweep_pool: ProcessPoolExecutor | None = None
 
 

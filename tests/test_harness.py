@@ -128,29 +128,13 @@ class TestRunExperiment:
         assert all(r.roundtrip_ok for r in records)
 
     def test_roundtrip_failure_aborts_with_trial_index(self, monkeypatch):
-        def corrupt_inverse(y, cfg):
-            from conftest import seq
-
-            return seq([0] * (len(y) - cfg.k), cfg.ns)
-
-        monkeypatch.setattr(harness_mod, "inverse_transform", corrupt_inverse)
+        monkeypatch.setattr(harness_mod, "inverse_transform", corrupt_inverse_at(ns=8, trial=0))
         with pytest.raises(RoundTripError, match="trial 0"):
             small_run(trials=5)
 
     def test_roundtrip_checked_on_every_trial(self, monkeypatch):
         # corrupt only the final trial's inverse: verification is never sampled
-        real_inverse = harness_mod.inverse_transform
-        calls = {"n": 0}
-
-        def corrupt_last(y, cfg):
-            calls["n"] += 1
-            if calls["n"] == 5:
-                from conftest import seq
-
-                return seq([0] * (len(y) - cfg.k), cfg.ns)
-            return real_inverse(y, cfg)
-
-        monkeypatch.setattr(harness_mod, "inverse_transform", corrupt_last)
+        monkeypatch.setattr(harness_mod, "inverse_transform", corrupt_inverse_at(ns=8, trial=4))
         with pytest.raises(RoundTripError, match="trial 4"):
             small_run(trials=5)
 
