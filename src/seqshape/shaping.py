@@ -22,8 +22,10 @@ on its type class, a partition of the length into at most ``ns`` parts, and
 its class only on the multisets of its head (first symbols) and its tail.
 So per head multiset, tables give each tail's class and its place among the
 tails ordered by class, then lex; per class and head, a table gives where
-that head's sequences of that class start.  A later call is a dot product
-with the space's cached place values and a few table reads on each side.
+that head's sequences of that class start.  A build names each head's and
+tail's multiset by sorting the symbols of every head and every tail once.
+A later call is a dot product with the space's cached place values and a
+few table reads on each side.
 """
 from __future__ import annotations
 
@@ -161,11 +163,12 @@ def is_in_image(seq: Sequence, k: int = 1) -> bool:
 
 def _check_space(ns: int, length: int, max_space: int) -> int:
     max_space = _check_integer(max_space, "enumeration bound")
-    size = ns**length
-    if size - 1 > _MAX_LEX_INDEX:
+    # ns >= 2, so 64 or more symbols are 2**64 or more sequences: refused
+    # before the power, which alone can take seconds; below 64 symbols it has
+    # at most 63 * 63 bits
+    if length >= 64 or (size := ns**length) - 1 > _MAX_LEX_INDEX:
         raise SpaceTooLargeError(
-            f"{ns}^{length} sequences: the largest lex index {size - 1} exceeds "
-            f"the int64 lex-index limit {_MAX_LEX_INDEX}"
+            f"{ns}^{length} sequences: the largest lex index exceeds the int64 lex-index limit {_MAX_LEX_INDEX}"
         )
     if size > max_space:
         raise SpaceTooLargeError(
@@ -174,8 +177,8 @@ def _check_space(ns: int, length: int, max_space: int) -> int:
     return size
 
 
-# a few hundred bytes per space: room for both sides of a round trip and every
-# prefix width an order build's multisets grow through
+# a few hundred bytes per space: room for both sides of a round trip and the
+# head and tail widths their order builds name multisets at
 @lru_cache(maxsize=64)
 def _lex_places(ns: int, length: int) -> np.ndarray:
     """The place values ``ns**(length-1), ..., ns, 1`` of a lex index, read-only ``int64``."""
@@ -194,31 +197,34 @@ def _digits_from_lex(lex, ns: int, length: int) -> np.ndarray:
     return (lex // _lex_places(ns, length)) % ns
 
 
+def _lex_digits(ns: int, width: int) -> np.ndarray:
+    """The symbols of every ``width``-symbol sequence, one ``int64`` row per sequence in lex order.
+
+    Equal to ``_digits_from_lex`` of every lex index, written column by
+    column without a division.
+    """
+    digits = np.empty((ns**width, width), dtype=np.int64)
+    for j in range(width):
+        # column j holds each symbol for ns**(width-1-j) rows in turn, ns**j times over
+        digits.reshape(ns**j, ns, -1, width)[:, :, :, j] = np.arange(ns)[:, None]
+    return digits
+
+
 def _multisets(ns: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct multisets among the ``ns**width`` sequences of ``width`` symbols.
 
     Returns each multiset's sorted symbols, one row per multiset in the lex
     order of those rows, and for each sequence, in lex order, its
-    multiset's row.  The multisets grow one symbol at a time: a sequence
-    of ``w`` symbols is one of ``w - 1`` symbols followed by a last one, so
-    its row is a transition of its prefix's row.
+    multiset's row.  Each sequence's sorted symbols are named by the lex
+    index they spell, so the distinct names, ascending, are the rows in lex
+    order.
     """
-    columns = np.zeros((0, 1), dtype=np.int64)  # the rows, transposed
-    ids = np.zeros(1, dtype=np.int64)
-    symbols = np.arange(ns, dtype=np.int64)
-    for w in range(1, width + 1):
-        # inserting s into a sorted row r gives max(r[j-1], min(r[j], s)) at j
-        below = np.concatenate([np.full((1, columns.shape[1]), -1), columns])[:, :, None]
-        above = np.concatenate([columns, np.full((1, columns.shape[1]), ns)])[:, :, None]
-        grown = np.maximum(below, np.minimum(above, symbols))  # (position, row, symbol)
-        names = np.tensordot(_lex_places(ns, w), grown, axes=1)  # lex index of the sorted symbols
-        table = np.zeros(ns**w, dtype=np.int64)
-        table[names] = 1
-        trans = np.cumsum(table, out=table)[names] - 1  # (row, symbol) -> grown row
-        columns = np.empty((w, table[-1]), dtype=np.int64)
-        columns[:, trans] = grown
-        ids = trans.ravel()[(ids * ns)[:, None] + symbols].ravel()
-    return columns.T.copy(), ids
+    digits = _lex_digits(ns, width)
+    # the stable sort is the one the order build's merge runs: as fast at
+    # these widths, and it pages in no second sort's code
+    digits.sort(axis=1, kind="stable")
+    names, ids = np.unique(digits @ _lex_places(ns, width), return_inverse=True)
+    return _digits_from_lex(names[:, None], ns, width), ids
 
 
 def _index_dtype(size: int) -> type:
@@ -268,8 +274,10 @@ def _split(ns: int, length: int, values: int) -> int:
     place entries, ``values * ns**head`` starts, ``head * ns**head + tail *
     ns**tail`` digits and ``M(head) * M(tail) * length`` merged symbols.
     Raises :class:`MemoryError` when the build's estimated bytes exceed
-    physical memory: 17 per entry, 40 per start, 16 per digit, 48 per digit
-    row and 32 per sequence of the wider side (:func:`_multisets`' tables).
+    physical memory: 17 per entry, 40 per start, 24 per digit (the digit
+    rows' bytes, the matrix they are viewed from and :func:`_multisets`'
+    matrix), 48 per digit row and 56 per sequence of the wider side
+    (:func:`_multisets`' names, ids and ``np.unique``'s work arrays).
     """
 
     def sizes(head: int) -> tuple[int, int, int, int]:
@@ -280,7 +288,7 @@ def _split(ns: int, length: int, values: int) -> int:
     head = min(range(length + 1), key=lambda head: sum(sizes(head)))
     entries, starts, digits, _ = sizes(head)
     sides = (ns**head, ns ** (length - head))
-    estimate = 17 * entries + 40 * starts + 16 * digits + 48 * sum(sides) + 32 * max(sides)
+    estimate = 17 * entries + 40 * starts + 24 * digits + 48 * sum(sides) + 56 * max(sides)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if estimate > memory:
         raise MemoryError(f"the exact-sorted order of {ns}^{length} sequences needs about {estimate:.3g} bytes, "
@@ -337,8 +345,10 @@ class _Tables:
 
 def _digit_rows(ns: int, width: int) -> list[bytes]:
     """The symbols of each ``width``-symbol sequence, in lex order, as native ``int64`` bytes."""
-    data, size = _digits_from_lex(np.arange(ns**width)[:, None], ns, width).tobytes(), 8 * width
-    return [data[i * size : (i + 1) * size] for i in range(ns**width)]
+    if not width:
+        return [b""]
+    # viewed as one void item per row, tolist gives one bytes object per row
+    return _lex_digits(ns, width).view(f"V{8 * width}").ravel().tolist()
 
 
 # every caller uses one (n, n+k) pair at a time
@@ -347,14 +357,17 @@ def _space_order(ns: int, length: int) -> _Tables:
     """The tables (see :class:`_Tables`) of the (info, lex) total order on all sequences.
 
     :func:`_split` picks the head width, or refuses a build that cannot fit,
-    and the heads and tails are grouped by multiset (:func:`_multisets`).
+    and the heads and tails are grouped by multiset (:func:`_multisets`, one
+    sort of every head's or tail's symbols).
     Per batch of head multisets (up to ``_STEP`` merged symbols and table
     entries), each is merged into each distinct tail multiset: a sorted
     row's change positions form a ``length - 1`` bit key, its runs are its
     class, and each key is ranked once per build.  The ranks are gathered
     by each tail's multiset into ``cls``, argsorted row by row into
     ``tails`` and ``pos`` and counted by class; cumulative sums of the
-    counts give ``base`` and ``start``.  Requires ``length >= 1``.
+    counts give ``base`` and ``start``.  Each head's and tail's symbols are
+    kept as bytes (:func:`_digit_rows`), one view of one digit matrix per
+    side.  Requires ``length >= 1``.
     """
     class_rank, values, _ = _type_classes(ns, length)
     head = _split(ns, length, len(values))

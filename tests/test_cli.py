@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -133,6 +134,15 @@ class TestOracle:
         assert main(["oracle", "--ns", "2", "--len", "64",
                      "--max-space", "99999999999999999999999"]) == 2
         assert "int64 lex-index limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("length", ["3000", "10000"])
+    def test_huge_space_exit_2_with_one_short_line(self, capsys, length):
+        start = time.perf_counter()
+        assert main(["oracle", "--ns", "4", "--len", length]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            f"error: 4^{length} sequences: the largest lex index exceeds the int64 lex-index limit 9223372036854775807\n"
+        )
 
     @pytest.mark.parametrize("error,code", [(MemoryError, 5), (KeyboardInterrupt, 130)])
     def test_out_of_memory_and_interrupt_exit_codes(self, capsys, monkeypatch, error, code):

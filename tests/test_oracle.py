@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -119,6 +120,18 @@ class TestSortedSpace:
         for ns, length in ((2, 64), (3, 42)):
             with pytest.raises(SpaceTooLargeError, match="int64 lex-index limit"):
                 space_descriptor(ns, length, max_space=unbounded)
+
+    @pytest.mark.parametrize("ns,length", [(4, 3000), (4, 10000), (10**4, 10**6)])
+    def test_huge_space_refused_before_its_power(self, ns, length):
+        # 4^10000 - 1 has more decimal digits than Python converts to str,
+        # and 10000^1000000 alone takes seconds to compute
+        start = time.perf_counter()
+        with pytest.raises(SpaceTooLargeError) as raised:
+            oracle_report(ns, length, 1)
+        assert time.perf_counter() - start < 1
+        assert str(raised.value) == (
+            f"{ns}^{length} sequences: the largest lex index exceeds the int64 lex-index limit 9223372036854775807"
+        )
 
 
 class TestOracleReport:

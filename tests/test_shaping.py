@@ -538,6 +538,22 @@ class TestMultisets:
         assert ids.tolist() == [0]
 
 
+class TestDigitRows:
+    @pytest.mark.parametrize("ns,width", [(ns, width) for ns in range(2, 6) for width in range(4)] + [(4096, 1)])
+    def test_each_row_is_its_sequences_int64_bytes(self, ns, width):
+        expected = [np.array(row, dtype=np.int64).tobytes() for row in itertools.product(range(ns), repeat=width)]
+        rows = shaping._digit_rows(ns, width)
+        assert all(type(row) is bytes for row in rows)
+        assert rows == expected
+
+    def test_lex_digits_match_the_division_for_every_space_up_to_4096_sequences(self):
+        for ns, width in [(2, 0), (300, 0), *shapes_within(1 << 12)]:
+            digits = shaping._lex_digits(ns, width)
+            expected = shaping._digits_from_lex(np.arange(ns**width)[:, None], ns, width)
+            assert digits.dtype == np.int64 and digits.shape == expected.shape, (ns, width)
+            assert np.array_equal(digits, expected), (ns, width)
+
+
 class TestDispatchAndConfig:
     def test_strategy_dispatch(self):
         s = seq([2, 2], 3)
