@@ -10,22 +10,27 @@ Trials are independent with per-trial substreams, so the same master seed
 gives bitwise-identical records and summaries for any worker count.  At more
 than one worker an experiment maps its trials on a process pool of at most
 ``trials`` workers; the rows of a Table-1 sweep share one such pool, which
-the sweep shuts down before it returns or raises.
+the sweep shuts down before it returns or raises.  The pool machinery
+(``multiprocessing``, sockets, ``subprocess``) is imported when a pool
+opens, so a process that never opens one does not pay for it.
 """
 from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .entropy import _check_integer, entropy_length_product
 from .shaping import ShaperConfig, inverse_transform, transform
 from .sources import SourceSpec, _check_master_seed, sample
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "RoundTripError",
@@ -116,6 +121,13 @@ def _check_counts(trials: int, workers: int) -> tuple[int, int]:
 _sweep_pool: ProcessPoolExecutor | None = None
 
 
+def _process_pool(workers: int) -> ProcessPoolExecutor:
+    # imported here: the pool machinery costs a fresh process 15-20 ms
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run_experiment(
     spec: SourceSpec,
     cfg: ShaperConfig,
@@ -146,7 +158,7 @@ def run_experiment(
         if _sweep_pool is not None:
             records = list(_sweep_pool.map(*jobs, chunksize=chunksize))
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with _process_pool(workers) as pool:
                 records = list(pool.map(*jobs, chunksize=chunksize))
 
     infc = np.array([r.infc for r in records])
@@ -197,7 +209,7 @@ def sweep_table1(
     trials, workers = _check_counts(trials, workers)
     summaries = []
     pool_size = min(workers, trials)
-    with ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else nullcontext() as pool:
+    with _process_pool(pool_size) if pool_size > 1 else nullcontext() as pool:
         _sweep_pool = pool
         try:
             for ns in TABLE1_GRID:

@@ -162,7 +162,13 @@ def is_in_image(seq: Sequence, k: int = 1) -> bool:
 
 
 def _check_space(ns: int, length: int, max_space: int) -> int:
-    max_space = _check_integer(max_space, "enumeration bound")
+    return _space_size(ns, length, _check_integer(max_space, "enumeration bound"))
+
+
+# every warm exact-sorted call checks its space; a refusal raises, so it is
+# never cached and raises again on the next call
+@lru_cache(maxsize=64)
+def _space_size(ns: int, length: int, max_space: int) -> int:
     # ns >= 2, so 64 or more symbols are 2**64 or more sequences: refused
     # before the power, which alone can take seconds; below 64 symbols it has
     # at most 63 * 63 bits
@@ -274,10 +280,14 @@ def _split(ns: int, length: int, values: int) -> int:
     place entries, ``values * ns**head`` starts, ``head * ns**head + tail *
     ns**tail`` digits and ``M(head) * M(tail) * length`` merged symbols.
     Raises :class:`MemoryError` when the build's estimated bytes exceed
-    physical memory: 17 per entry, 40 per start, 24 per digit (the digit
-    rows' bytes, the matrix they are viewed from and :func:`_multisets`'
-    matrix), 48 per digit row and 56 per sequence of the wider side
-    (:func:`_multisets`' names, ids and ``np.unique``'s work arrays).
+    physical memory.  The estimate is what the build holds when it returns
+    plus the largest of its passing peaks, which never coexist.  It holds
+    the three entry tables (a class byte or two and two indices per entry),
+    24 bytes per start (the counts per head, ``base`` and ``start``), 8 per
+    digit, 96 per sequence of either side (its multiset id, its digit row's
+    bytes object and, for a head, its row's int) and 64 per element of the
+    last batch's work arrays.  Its passing peaks are 8 more bytes per start,
+    or one side's :func:`_multisets` (8 per digit and 56 per sequence).
     """
 
     def sizes(head: int) -> tuple[int, int, int, int]:
@@ -286,9 +296,13 @@ def _split(ns: int, length: int, values: int) -> int:
         return heads * ns**tail, values * ns**head, head * ns**head + tail * ns**tail, heads * tails * length
 
     head = min(range(length + 1), key=lambda head: sum(sizes(head)))
+    tail = length - head
     entries, starts, digits, _ = sizes(head)
-    sides = (ns**head, ns ** (length - head))
-    estimate = 17 * entries + 40 * starts + 24 * digits + 48 * sum(sides) + 56 * max(sides)
+    width, tails = ns**tail, math.comb(tail + ns - 1, tail)
+    per_entry = np.min_scalar_type(values - 1).itemsize + 2 * np.dtype(_index_dtype(width)).itemsize
+    held = per_entry * entries + 24 * starts + 8 * digits + 96 * (ns**head + width)
+    held += 64 * (_STEP + width + tails * length)
+    estimate = held + max(8 * starts, *((8 * w + 56) * ns**w for w in (head, tail)))
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if estimate > memory:
         raise MemoryError(f"the exact-sorted order of {ns}^{length} sequences needs about {estimate:.3g} bytes, "

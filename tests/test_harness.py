@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -55,7 +56,7 @@ def pools(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     return record
 
 

@@ -454,6 +454,33 @@ class TestOrderBuild:
         monkeypatch.setattr(shaping.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 18}.get)
         shaping._split(ns, length, len(shaping._type_classes(ns, length)[1]))
 
+    # two even splits and two with a one- or two-symbol head; the estimate is
+    # what the build holds plus its largest passing peak, so one byte less
+    # than the traced peak must refuse the build (the (4096, 2) build, 153 MB
+    # traced, is left out for its memory)
+    @pytest.mark.parametrize("ns,length", [(4, 12), (2, 24), (256, 3), (1000, 2)])
+    def test_estimate_covers_the_traced_peak(self, monkeypatch, ns, length):
+        shaping._space_order.cache_clear()
+        tracemalloc.start()
+        try:
+            shaping._space_order(ns, length)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            shaping._space_order.cache_clear()
+        monkeypatch.setattr(shaping.os, "sysconf", {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": peak - 1}.get)
+        with pytest.raises(MemoryError):
+            shaping._split(ns, length, len(shaping._type_classes(ns, length)[1]))
+
+    def test_space_check_cached_only_for_an_integer_bound(self):
+        assert shaping._check_space(4, 10, 1 << 24) == 4**10
+        # equal to the cached bound, and still not an integer
+        with pytest.raises(TypeError, match="enumeration bound must be an integer"):
+            shaping._check_space(4, 10, float(1 << 24))
+        for _ in range(2):
+            with pytest.raises(SpaceTooLargeError, match=r"^4\^13 = 67108864 sequences exceed the enumeration bound"):
+                shaping._check_space(4, 13, 1 << 24)
+
     def test_order_too_large_for_memory_raises_before_building(self, monkeypatch):
         def no_build(*args):
             raise AssertionError("order build started")
