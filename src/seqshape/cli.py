@@ -14,27 +14,19 @@ import dataclasses
 import json
 import sys
 
-from .harness import (
-    RoundTripError,
-    export,
-    format_table1_comparison,
-    run_experiment,
-    summary_to_dict,
-    sweep_table1,
-)
-from .oracle import oracle_report, validate_strategy
-from .seqio import read_sequence, write_sequence
+# only shaping at the top: each command imports the modules it calls, so a
+# transform or invert loads neither the harness, the oracle nor the sources
 from .shaping import (
     ADAPTIVE_RANK,
     DEFAULT_MAX_SPACE,
     NotInImageError,
+    RoundTripError,
     ShaperConfig,
     SpaceTooLargeError,
     STRATEGIES,
     inverse_transform,
     transform,
 )
-from .sources import SourceSpec
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -97,6 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    from .harness import export, run_experiment
+    from .sources import SourceSpec
+
     spec = SourceSpec(ns=args.ns, n=args.n, pmax=args.pmax)
     cfg = ShaperConfig(ns=args.ns, strategy=args.strategy, k=args.k, max_space=args.max_space)
     summary, records = run_experiment(spec, cfg, args.trials, args.seed, workers=args.workers)
@@ -112,6 +107,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .harness import export, format_table1_comparison, sweep_table1
+
     cfg = ShaperConfig(ns=2, strategy=args.strategy, k=args.k, max_space=args.max_space)
     summaries = sweep_table1(cfg, trials=args.trials, seed=args.seed, workers=args.workers)
     print(format_table1_comparison(summaries))
@@ -122,6 +119,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import oracle_report, validate_strategy
+
     report = oracle_report(args.ns, args.n, args.k, max_space=args.max_space)
     payload = dataclasses.asdict(report)
     exit_code = EXIT_OK
@@ -137,6 +136,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_transform(args, invert: bool) -> int:
+    from .seqio import read_sequence, write_sequence
+
     seq = read_sequence(args.infile)
     cfg = ShaperConfig(ns=seq.ns, strategy=args.strategy, k=args.k, max_space=args.max_space)
     result = inverse_transform(seq, cfg) if invert else transform(seq, cfg)

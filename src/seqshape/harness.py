@@ -26,7 +26,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .entropy import _check_integer, entropy_length_product
-from .shaping import ShaperConfig, inverse_transform, transform
+# RoundTripError is defined in shaping, which every sst command loads, and is
+# exported from here
+from .shaping import RoundTripError, ShaperConfig, inverse_transform, transform
 from .sources import SourceSpec, _check_master_seed, sample
 
 if TYPE_CHECKING:
@@ -45,10 +47,6 @@ __all__ = [
     "summary_to_dict",
     "record_to_dict",
 ]
-
-
-class RoundTripError(RuntimeError):
-    """Inverting a shaped sequence did not reproduce the original."""
 
 
 @dataclass(frozen=True)

@@ -205,39 +205,36 @@ def validate_strategy(cfg: ShaperConfig, ns: int, n: int, max_space: int = DEFAU
     roundtrip_ok = True
     images_distinct = True
     counterexample = None
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # each image's symbols as bytes, the key the order's tables rank by, and
+    # its source's lex index
+    seen: dict[bytes, int] = {}
     for lex in range(desc.size):
         seq = shaping._seq_from_lex_index(lex, ns, n)
-        seq_tuple = tuple(seq.symbols.tolist())
         image = transform(seq, cfg)
-        image_tuple = tuple(image.symbols.tolist())
+        image_bytes = image.symbols.tobytes()
         recovered = inverse_transform(image, cfg)
         if recovered != seq:
             roundtrip_ok = False
-            counterexample = (
-                f"round trip failed: {seq_tuple} -> {image_tuple} -> "
-                f"{tuple(recovered.symbols.tolist())}"
-            )
+            counterexample = f"round trip failed: {tuple(seq)} -> {tuple(image)} -> {tuple(recovered)}"
             break
-        if image_tuple in seen:
+        if image_bytes in seen:
             images_distinct = False
-            counterexample = (
-                f"images collide: {seen[image_tuple]} and {seq_tuple} both map to {image_tuple}"
-            )
+            first = shaping._seq_from_lex_index(seen[image_bytes], ns, n)
+            counterexample = f"images collide: {tuple(first)} and {tuple(seq)} both map to {tuple(image)}"
             break
-        seen[image_tuple] = seq_tuple
+        seen[image_bytes] = lex
 
     image_matches = None
     if cfg.strategy == EXACT_SORTED and counterexample is None:
-        length = n + k
-        tables = shaping._space_order(ns, length)
-        lexes = np.array(list(seen), dtype=np.int64) @ shaping._lex_places(ns, length)
-        ranks = [tables.rank(lex) for lex in lexes.tolist()]
+        tables = shaping._space_order(ns, n + k)
+        ranks = [tables.rank(image) for image in seen]
         image_matches = max(ranks) < desc.size
         if not image_matches:
             hit = set(ranks)
-            missing = min(tuple(tables.unrank(r).tolist()) for r in range(desc.size) if r not in hit)
-            extra = min(image for image, r in zip(seen, ranks) if r >= desc.size)
+            missing = min(tuple(tables.unrank(r)) for r in range(desc.size) if r not in hit)
+            extra = min(
+                tuple(np.frombuffer(image, np.int64).tolist()) for image, r in zip(seen, ranks) if r >= desc.size
+            )
             counterexample = (
                 f"image set differs from sorted prefix: missing {[missing]}, unexpected {[extra]}"
             )

@@ -24,8 +24,9 @@ So per head multiset, tables give each tail's class and its place among the
 tails ordered by class, then lex; per class and head, a table gives where
 that head's sequences of that class start.  A build names each head's and
 tail's multiset by sorting the symbols of every head and every tail once.
-A later call is a dot product with the space's cached place values and a
-few table reads on each side.
+A later call looks its source's head and tail up by their bytes, reads a
+few table entries, and joins the bytes of the target's head and tail into
+the symbols it returns.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -77,6 +78,8 @@ _MAX_LEX_INDEX = np.iinfo(np.int64).max
 # symbols merged, and table entries written, per batch of an order build:
 # small enough that a batch's work stays in cache
 _STEP = 1 << 14
+# a dtype object: frombuffer takes it about twice as fast as the type np.int64
+_INT64 = np.dtype(np.int64)
 
 
 class NotInImageError(Exception):
@@ -85,6 +88,14 @@ class NotInImageError(Exception):
 
 class SpaceTooLargeError(ValueError):
     """ns^length exceeds the configured enumeration bound or the int64 lex indices."""
+
+
+class RoundTripError(RuntimeError):
+    """Inverting a shaped sequence did not reproduce the original.
+
+    Raised by :mod:`seqshape.harness`, which exports it; defined here so the
+    command line catches it without importing the harness.
+    """
 
 
 @dataclass(frozen=True)
@@ -128,7 +139,7 @@ def _check_k(k: int) -> int:
 
 def transform_adaptive(seq: Sequence, k: int = 1) -> Sequence:
     """Shape ``seq`` by injecting ``k`` zero digits ahead of its rank digits."""
-    _check_k(k)
+    k = _check_k(k)
     if len(seq) == 0:
         raise ValueError("cannot shape an empty sequence")
     digits = to_digits(seq)
@@ -142,7 +153,8 @@ def inverse_adaptive(seq: Sequence, k: int = 1) -> Sequence:
     Raises :class:`NotInImageError` when ``seq`` was not produced by
     :func:`transform_adaptive` with this ``k``, before any decoding work.
     """
-    if not is_in_image(seq, k):
+    k = _check_k(k)
+    if not _in_image(seq, k):
         raise NotInImageError("not in image")
     digits = to_digits(seq)
     return from_digits(_trusted(DigitStream, digits.digits[k:], seq.ns))
@@ -155,7 +167,11 @@ def is_in_image(seq: Sequence, k: int = 1) -> bool:
     zeros have been seen, symbol 0 ranks first, so the ``k`` injected zero
     digits decode to ``k`` zero symbols and any continuation is reachable.
     """
-    _check_k(k)
+    return _in_image(seq, _check_k(k))
+
+
+def _in_image(seq: Sequence, k: int) -> bool:
+    """:func:`is_in_image` for a checked ``k``."""
     if len(seq) <= k:
         raise ValueError(f"shaped sequence must be longer than k={k}, got length {len(seq)}")
     return not np.count_nonzero(seq.symbols[:k])
@@ -183,8 +199,8 @@ def _space_size(ns: int, length: int, max_space: int) -> int:
     return size
 
 
-# a few hundred bytes per space: room for both sides of a round trip and the
-# head and tail widths their order builds name multisets at
+# a few hundred bytes per space: room for the head and tail widths order
+# builds name multisets at, and the spaces the oracle lists by lex index
 @lru_cache(maxsize=64)
 def _lex_places(ns: int, length: int) -> np.ndarray:
     """The place values ``ns**(length-1), ..., ns, 1`` of a lex index, read-only ``int64``."""
@@ -284,10 +300,11 @@ def _split(ns: int, length: int, values: int) -> int:
     plus the largest of its passing peaks, which never coexist.  It holds
     the three entry tables (a class byte or two and two indices per entry),
     24 bytes per start (the counts per head, ``base`` and ``start``), 8 per
-    digit, 96 per sequence of either side (its multiset id, its digit row's
-    bytes object and, for a head, its row's int) and 64 per element of the
-    last batch's work arrays.  Its passing peaks are 8 more bytes per start,
-    or one side's :func:`_multisets` (8 per digit and 56 per sequence).
+    digit, 176 per sequence of either side (its multiset id, its digit row's
+    bytes object, its entry in the lookup dicts the first rank builds and,
+    for a head, its row's int) and 64 per element of the last batch's work
+    arrays.  Its passing peaks are 8 more bytes per start, or one side's
+    :func:`_multisets` (8 per digit and 56 per sequence).
     """
 
     def sizes(head: int) -> tuple[int, int, int, int]:
@@ -300,7 +317,7 @@ def _split(ns: int, length: int, values: int) -> int:
     entries, starts, digits, _ = sizes(head)
     width, tails = ns**tail, math.comb(tail + ns - 1, tail)
     per_entry = np.min_scalar_type(values - 1).itemsize + 2 * np.dtype(_index_dtype(width)).itemsize
-    held = per_entry * entries + 24 * starts + 8 * digits + 96 * (ns**head + width)
+    held = per_entry * entries + 24 * starts + 8 * digits + 176 * (ns**head + width)
     held += 64 * (_STEP + width + tails * length)
     estimate = held + max(8 * starts, *((8 * w + 56) * ns**w for w in (head, tail)))
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -312,7 +329,7 @@ def _split(ns: int, length: int, values: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _Tables:
-    """The (info, lex) order of one space, factored over heads and tails.
+    """The (info, lex) order of one space of ``ns``-symbol sequences, factored over heads and tails.
 
     Lex index ``h * tail_size + t`` has head ``h`` and tail ``t``; head ``h``'s
     multiset owns the row of the flat tables ``cls``, ``tails`` and ``pos``
@@ -323,12 +340,13 @@ class _Tables:
     ``h``'s class-``v`` sequences start in the order, and ``start[v * H + h]``
     is that less the place of the row's first class-``v`` tail.  So ``(h, t)``
     has rank ``start[cls[i] * H + h] + pos[i]``.  ``head_digits[h]`` and
-    ``tail_digits[t]`` are their symbols as native ``int64`` bytes.  A warm
-    call makes a few lookups, where numpy's per-call cost would dominate, so
-    they read Python ints and bytes from lists and from memoryviews of
-    read-only arrays.
+    ``tail_digits[t]`` are their symbols as native ``int64`` bytes, and the
+    first rank keys ``h`` and ``t`` by those bytes.  A warm call makes a few
+    lookups, where numpy's per-call cost would dominate, so they read Python
+    ints and bytes from dicts, lists and memoryviews of read-only arrays.
     """
 
+    ns: int
     tail_size: int
     rows: list[int]
     cls: memoryview
@@ -339,18 +357,34 @@ class _Tables:
     head_digits: list[bytes]
     tail_digits: list[bytes]
 
-    def rank(self, lex: int) -> int:
-        """The rank of the sequence with lex index ``lex``."""
-        h, t = divmod(lex, self.tail_size)
-        i = self.rows[h] + t
+    @cached_property
+    def _index(self) -> tuple[int, dict[bytes, int], dict[bytes, int]]:
+        """Where a sequence's bytes split, and each head's and tail's index keyed by its bytes.
+
+        Built by the first rank, so a table only ever unranked (a transform's
+        target) holds no dicts.
+        """
+        heads, tails = self.head_digits, self.tail_digits
+        return len(heads[0]), dict(zip(heads, range(len(heads)))), dict(zip(tails, range(len(tails))))
+
+    def rank(self, symbols: bytes) -> int:
+        """The rank of the sequence whose symbols are the native ``int64`` bytes ``symbols``."""
+        cut, heads, tails = self._index
+        h = heads[symbols[:cut]]
+        i = self.rows[h] + tails[symbols[cut:]]
         return self.start[self.cls[i] * len(self.rows) + h] + self.pos[i]
 
-    def unrank(self, r: int) -> np.ndarray:
-        """The symbols of the rank-``r`` sequence, a read-only ``int64`` array."""
+    def unrank(self, r: int) -> Sequence:
+        """The rank-``r`` sequence; its symbols are a read-only ``int64`` array."""
         j = bisect_right(self.base, r) - 1
         h = j % len(self.rows)
         t = self.tails[self.rows[h] + r - self.start[j]]
-        return np.frombuffer(self.head_digits[h] + self.tail_digits[t], dtype=np.int64)
+        # frombuffer of bytes is read-only int64, and a table's symbols are
+        # in [0, ns): a Sequence around it, without the constructor's copy
+        seq = object.__new__(Sequence)
+        object.__setattr__(seq, "symbols", np.frombuffer(self.head_digits[h] + self.tail_digits[t], _INT64))
+        object.__setattr__(seq, "ns", self.ns)
+        return seq
 
     def class_ranks(self) -> np.ndarray:
         """The class rank of every sequence, in lex order: ``O(ns**length)`` memory."""
@@ -432,7 +466,7 @@ def _space_order(ns: int, length: int) -> _Tables:
     for array in (cls, tails, pos, base, start):
         array.setflags(write=False)
     views = (memoryview(array) for array in (cls, tails, pos, base, start))
-    return _Tables(width, (hid * width).tolist(), *views, _digit_rows(ns, head), _digit_rows(ns, length - head))
+    return _Tables(ns, width, (hid * width).tolist(), *views, _digit_rows(ns, head), _digit_rows(ns, length - head))
 
 
 def _seq_from_lex_index(lex: int, ns: int, length: int) -> Sequence:
@@ -447,10 +481,10 @@ def _rerank(seq: Sequence, n: int, length: int, max_space: int) -> Sequence:
     """
     ns = seq.ns
     _check_space(ns, max(n, length), max_space)
-    r = _space_order(ns, n).rank(int(seq.symbols @ _lex_places(ns, n)))
+    r = _space_order(ns, n).rank(seq.symbols.tobytes())
     if r >= ns**length:
         raise NotInImageError("not in image")
-    return _trusted(Sequence, _space_order(ns, length).unrank(r), ns)
+    return _space_order(ns, length).unrank(r)
 
 
 def transform_exact_sorted(seq: Sequence, k: int = 1, max_space: int = DEFAULT_MAX_SPACE) -> Sequence:
@@ -460,7 +494,7 @@ def transform_exact_sorted(seq: Sequence, k: int = 1, max_space: int = DEFAULT_M
     within ties) goes to rank r in the target order, so the image is exactly
     the ns^N cheapest-to-describe sequences of the longer space.
     """
-    _check_k(k)
+    k = _check_k(k)
     n = len(seq)
     if n == 0:
         raise ValueError("cannot shape an empty sequence")
@@ -469,7 +503,7 @@ def transform_exact_sorted(seq: Sequence, k: int = 1, max_space: int = DEFAULT_M
 
 def inverse_exact_sorted(seq: Sequence, k: int = 1, max_space: int = DEFAULT_MAX_SPACE) -> Sequence:
     """Invert :func:`transform_exact_sorted`; raises outside the image."""
-    _check_k(k)
+    k = _check_k(k)
     n = len(seq)
     if n <= k:
         raise ValueError(f"shaped sequence must be longer than k={k}, got length {n}")

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-import seqshape.cli as cli_mod
+import seqshape.harness as harness_mod
+import seqshape.oracle as oracle_mod
 from seqshape import RoundTripError, shaping
 from seqshape.cli import main
 
@@ -149,7 +150,7 @@ class TestOracle:
         def boom(*args, **kwargs):
             raise error()
 
-        monkeypatch.setattr(cli_mod, "oracle_report", boom)
+        monkeypatch.setattr(oracle_mod, "oracle_report", boom)
         assert main(["oracle", "--ns", "3", "--len", "2"]) == code
         assert len(capsys.readouterr().err.splitlines()) == 1
 
@@ -166,7 +167,7 @@ class TestOracle:
             image_matches_sorted_prefix=None,
             counterexample="round trip failed: synthetic",
         )
-        monkeypatch.setattr(cli_mod, "validate_strategy", lambda *a, **k: broken)
+        monkeypatch.setattr(oracle_mod, "validate_strategy", lambda *a, **k: broken)
         assert main(["oracle", "--ns", "3", "--len", "2", "--k", "1",
                      "--validate", "adaptive-rank"]) == 4
 
@@ -199,7 +200,7 @@ class TestRunAndSweep:
         def boom(*args, **kwargs):
             raise RoundTripError("trial 3: recovered sequence differs from the original input")
 
-        monkeypatch.setattr(cli_mod, "run_experiment", boom)
+        monkeypatch.setattr(harness_mod, "run_experiment", boom)
         assert main(["run", "--ns", "5", "--len", "30", "--pmax", "0.5", "--trials", "4"]) == 4
         assert "round-trip failure" in capsys.readouterr().err
 

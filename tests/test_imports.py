@@ -31,6 +31,24 @@ def test_exact_sorted_imports_load_only_their_modules():
     """)
 
 
+@pytest.mark.parametrize("strategy", ["exact-sorted", "adaptive-rank"])
+def test_transform_and_invert_load_no_harness_oracle_or_sources(tmp_path, strategy):
+    files = [str(tmp_path / name) for name in ("in.txt", "shaped.txt", "back.txt")]
+    (tmp_path / "in.txt").write_text("ns 4\n3 1 0 2 2 1\n")
+    unwanted = ("seqshape.harness", "seqshape.oracle", "seqshape.sources", *POOL_MODULES)
+    run_fresh(f"""
+        import sys
+        from seqshape import cli
+        source, shaped, back = {files!r}
+        for command, infile, outfile in (("transform", source, shaped), ("invert", shaped, back)):
+            code = cli.main([command, "--strategy", {strategy!r}, "--in", infile, "--out", outfile])
+            assert code == 0, (command, code)
+            loaded = sorted(set({unwanted!r}) & set(sys.modules))
+            assert not loaded, f"sst {{command}} --strategy {strategy} loaded {{loaded}}"
+    """)
+    assert (tmp_path / "back.txt").read_text() == (tmp_path / "in.txt").read_text()
+
+
 @pytest.mark.parametrize("module", ["seqshape.harness", "seqshape.cli"])
 def test_pool_machinery_imports_with_the_first_pool(module):
     run_fresh(f"""

@@ -490,6 +490,15 @@ class TestUncheckedOutputs:
         for lex, symbols in enumerate(itertools.product(range(ns), repeat=length)):
             assert_as_if_checked(shaping._seq_from_lex_index(lex, ns, length), seq(symbols, ns), "symbols")
 
+    @pytest.mark.parametrize("ns,length", [(2, 6), (3, 4), (5, 2), (7, 1)])
+    def test_unranked_sequences_equal_checked_construction(self, ns, length):
+        from seqshape import shaping
+
+        tables = shaping._space_order(ns, length)
+        for r in range(ns**length):
+            unranked = tables.unrank(r)
+            assert_as_if_checked(unranked, seq(unranked.symbols.tolist(), ns), "symbols")
+
 
 class TestDigitConcentration:
     def test_digit_zero_dominates_on_skewed_source(self):

@@ -100,8 +100,9 @@ def assert_order_matches_counts(ns, length):
     """The order's tables rank and unrank as a stable argsort of ``counted_info`` orders the space.
 
     Every lex index and rank through the tables' formulas (``materialised``),
-    and the scalar lookups a transform makes on up to 64 ranks spread over
-    the space, first and last among them.
+    every sequence ranked from its bytes as a transform ranks it, and the
+    unranking a transform makes on up to 64 ranks spread over the space,
+    first and last among them.
     """
     tables = shaping._space_order(ns, length)
     size = ns**length
@@ -109,13 +110,28 @@ def assert_order_matches_counts(ns, length):
     order, rank = materialised(tables, size)
     assert np.array_equal(order, expected), (ns, length)
     assert np.array_equal(rank[expected], np.arange(size)), (ns, length)
+    assert_byte_ranks(tables, ns, length, rank)
     ranks = np.unique(np.linspace(0, size - 1, 64).astype(np.int64))
     rows = np.stack(np.unravel_index(expected[ranks], (ns,) * length), axis=1)
-    for r, lex, row in zip(ranks.tolist(), expected[ranks].tolist(), rows.tolist()):
-        assert tables.rank(lex) == r, (ns, length, r)
-        symbols = tables.unrank(r)
-        assert symbols.dtype == np.int64 and not symbols.flags.writeable, (ns, length, r)
-        assert symbols.tolist() == row, (ns, length, r)
+    for r, row in zip(ranks.tolist(), rows.tolist()):
+        unranked = tables.unrank(r)
+        assert type(unranked) is Sequence and unranked.ns == ns, (ns, length, r)
+        assert unranked.symbols.dtype == np.int64 and not unranked.symbols.flags.writeable, (ns, length, r)
+        assert unranked.symbols.tolist() == row, (ns, length, r)
+
+
+def assert_byte_ranks(tables, ns, length, rank):
+    """Every sequence's rank from its symbols' bytes is ``rank``, its rank in ``materialised``.
+
+    The rows come from ``np.unravel_index``, not from the tables' own digit
+    rows, and are ranked as a transform ranks its input.
+    """
+    size = ns**length
+    for start in range(0, size, 1 << 16):
+        lex = np.arange(start, min(size, start + (1 << 16)))
+        rows = np.stack(np.unravel_index(lex, (ns,) * length), axis=1).astype(np.int64)
+        ranks = [tables.rank(row) for row in rows.view(f"V{8 * length}").ravel().tolist()]
+        assert ranks == rank[lex].tolist(), (ns, length, start)
 
 
 def class_counts(per_position):
@@ -299,6 +315,28 @@ class TestExactSortedTransform:
         with pytest.raises(SpaceTooLargeError):
             transform_exact_sorted(seq([0, 0], 3), max_space=8)
 
+    @pytest.mark.parametrize("k", [1, np.int64(1), np.uint8(1)])
+    def test_numpy_k_is_refused_as_an_int(self, k):
+        # a numpy k once made the length a numpy int, whose 2**63 overflowed
+        # past the space check into a failed order build
+        refused = r"^2\^63 = 9223372036854775808 sequences exceed the enumeration bound"
+        with pytest.raises(SpaceTooLargeError, match=refused):
+            transform_exact_sorted(seq([0] * 62, 2), k)
+        with pytest.raises(SpaceTooLargeError, match=refused):
+            inverse_exact_sorted(seq([0] * 63, 2), k)
+
+    @pytest.mark.parametrize("k", [np.int64(1), np.int32(2), np.uint8(1)])
+    def test_numpy_k_gives_the_int_output(self, k):
+        rng = np.random.default_rng(7)
+        for symbols in rng.integers(0, 4, size=(16, 9)):
+            source = seq(symbols, 4)
+            shaped = transform_exact_sorted(source, k)
+            assert shaped == transform_exact_sorted(source, int(k))
+            assert inverse_exact_sorted(shaped, k) == source
+            adaptive = transform_adaptive(source, k)
+            assert adaptive == transform_adaptive(source, int(k))
+            assert inverse_adaptive(adaptive, k) == source
+
     @pytest.mark.parametrize("ns,length", [(2, 5), (3, 4), (4, 3)])
     def test_round_trip_exhaustive(self, ns, length):
         for k in (1, 2):
@@ -424,6 +462,58 @@ class TestOrderBuild:
     @given(shape_within(1 << 18))
     def test_order_matches_counts_up_to_2_18_sequences(self, shape):
         assert_order_matches_counts(*shape)
+
+    # every space up to 4096 sequences is ranked by its bytes in
+    # test_order_matches_counts_for_every_space_up_to_4096_sequences
+    @pytest.mark.parametrize("shape", sorted(SPACE_ORDER_SHA256))
+    def test_byte_ranks_match_at_the_pinned_shapes(self, shape):
+        tables = shaping._space_order(*shape)
+        assert_byte_ranks(tables, *shape, materialised(tables, shape[0] ** shape[1])[1])
+
+    # _split gives a one-symbol space, such as ns 7's, an empty head; a build
+    # made to split at the other end has an empty tail
+    @pytest.mark.parametrize("ns,length", [(7, 1), (300, 1), (3, 2), (2, 3)])
+    @pytest.mark.parametrize("side", ["head", "tail"])
+    def test_rank_with_an_empty_side(self, monkeypatch, ns, length, side):
+        size = ns**length
+        expected = materialised(shaping._space_order(ns, length), size)
+        monkeypatch.setattr(shaping, "_split", lambda ns, length, values: 0 if side == "head" else length)
+        tables = shaping._space_order.__wrapped__(ns, length)
+        assert (tables.head_digits if side == "head" else tables.tail_digits) == [b""]
+        assert all(np.array_equal(a, b) for a, b in zip(materialised(tables, size), expected))
+        for r in range(size):
+            assert tables.rank(tables.unrank(r).symbols.tobytes()) == r, (ns, length, side, r)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda symbols: seq(np.asarray(symbols, dtype=">i8"), 4),
+            lambda symbols: seq(np.repeat(symbols, 3)[::3], 4),
+            lambda symbols: inverse_adaptive(transform_adaptive(seq(symbols, 4))),
+        ],
+        ids=["big-endian", "strided", "adaptive-output"],
+    )
+    def test_rank_is_the_same_from_any_built_input(self, build):
+        rng = np.random.default_rng(21)
+        tables = shaping._space_order(4, 9)
+        for symbols in rng.integers(0, 4, size=(64, 9)):
+            built = build(symbols)
+            assert built == seq(symbols, 4)
+            assert tables.rank(built.symbols.tobytes()) == tables.rank(symbols.astype(np.int64).tobytes())
+            assert transform_exact_sorted(built) == transform_exact_sorted(seq(symbols, 4))
+
+    def test_first_transform_keys_only_its_source_table(self):
+        shaping._space_order.cache_clear()
+        try:
+            transform_exact_sorted(seq([1, 0, 2], 3))
+            source, target = shaping._space_order(3, 3), shaping._space_order(3, 4)
+            assert "_index" in vars(source) and "_index" not in vars(target)
+            # the keys are the very bytes objects the table holds
+            _, heads, tails = source._index
+            assert all(key is row for key, row in zip(heads, source.head_digits))
+            assert all(key is row for key, row in zip(tails, source.tail_digits))
+        finally:
+            shaping._space_order.cache_clear()
 
     @pytest.mark.parametrize("shape", sorted(SPACE_ORDER_SHA256))
     def test_space_order_bytes_pinned(self, shape):
