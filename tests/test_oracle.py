@@ -270,6 +270,21 @@ class TestValidateStrategy:
         assert not (report.roundtrip_ok and report.images_distinct)
         assert report.counterexample is not None
 
+    def test_colliding_images_are_reported(self, monkeypatch):
+        # a constant transform whose inverse returns the source it last saw:
+        # every round trip holds, so the second source finds the first's image
+        last = []
+
+        def constant(s, cfg):
+            last[:] = [s]
+            return seq([0] * (len(s) + cfg.k), cfg.ns)
+
+        monkeypatch.setattr(oracle_mod, "transform", constant)
+        monkeypatch.setattr(oracle_mod, "inverse_transform", lambda y, cfg: last[0])
+        report = validate_strategy(ShaperConfig(ns=2), 2, 2)
+        assert report.roundtrip_ok and not report.images_distinct and not report.ok
+        assert report.counterexample == "images collide: (0, 0) and (0, 1) both map to (0, 0, 0)"
+
     def test_bad_inverse_is_reported(self, monkeypatch):
         def wrong_inverse(y, cfg):
             flipped = [(x + 1) % cfg.ns for x in y.symbols.tolist()[cfg.k :]]
