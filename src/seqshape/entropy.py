@@ -81,9 +81,9 @@ def _trusted(cls, values, ns: int):
 
     Only for values the package has just computed itself, all in ``[0, ns)``
     for an ``ns`` already checked: the rank codec's output, digit streams cut
-    from it, and sequences decoded from a lex index.  ``values`` must be a
-    list or an array no caller holds.  Public construction never comes here
-    and keeps every check.
+    from it, and the oracle's tuples from ``itertools.product(range(ns))``.
+    ``values`` must be a list, a tuple or an array no caller holds.  Public
+    construction never comes here and keeps every check.
     """
     arr = np.asarray(values, dtype=np.int64)
     arr.setflags(write=False)

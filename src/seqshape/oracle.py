@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice, product
 
 import numpy as np
 
 from . import shaping
-from .entropy import _check_integer, _check_ns
+from .entropy import Sequence, _check_integer, _check_ns, _trusted
 from .shaping import (
     DEFAULT_MAX_SPACE,
     EXACT_SORTED,
@@ -99,22 +99,19 @@ def space_descriptor(ns: int, length: int, max_space: int = DEFAULT_MAX_SPACE) -
     return SpaceDescriptor(ns=ns, length=length, size=shaping._check_space(ns, length, max_space))
 
 
-def _tuples(lex: np.ndarray, ns: int, length: int) -> list[tuple[int, ...]]:
-    return [tuple(row) for row in shaping._digits_from_lex(lex[:, None], ns, length).tolist()]
-
-
 def sorted_space(ns: int, length: int, max_space: int = DEFAULT_MAX_SPACE) -> list[tuple[int, ...]]:
     """All length-``length`` sequences, cheapest information content first.
 
     Ties in information content keep lexicographic order, so the result is a
     deterministic permutation of the full enumeration.  It costs
     ``O(ns**length)`` time and memory: one class rank per sequence, gathered
-    from the exact-sorted order's tables, one stable argsort of them and one
-    tuple per sequence.
+    from the exact-sorted order's tables, one stable argsort of them, the
+    symbols of every sequence gathered by it and one tuple per sequence.
     """
-    space_descriptor(ns, length, max_space)
+    desc = space_descriptor(ns, length, max_space)
+    ns, length = desc.ns, desc.length
     order = np.argsort(shaping._space_order(ns, length).class_ranks(), kind="stable")
-    return _tuples(order, ns, length)
+    return list(map(tuple, shaping._lex_digits(ns, length)[order].tolist()))
 
 
 def _runs(ns: int, length: int, size: int) -> tuple[list[float], list[int]]:
@@ -208,19 +205,19 @@ def validate_strategy(cfg: ShaperConfig, ns: int, n: int, max_space: int = DEFAU
     # each image's symbols as bytes, the key the order's tables rank by, and
     # its source's lex index
     seen: dict[bytes, int] = {}
-    for lex in range(desc.size):
-        seq = shaping._seq_from_lex_index(lex, ns, n)
+    for lex, symbols in enumerate(product(range(ns), repeat=n)):
+        seq = _trusted(Sequence, symbols, ns)
         image = transform(seq, cfg)
         image_bytes = image.symbols.tobytes()
         recovered = inverse_transform(image, cfg)
         if recovered != seq:
             roundtrip_ok = False
-            counterexample = f"round trip failed: {tuple(seq)} -> {tuple(image)} -> {tuple(recovered)}"
+            counterexample = f"round trip failed: {symbols} -> {tuple(image)} -> {tuple(recovered)}"
             break
         if image_bytes in seen:
             images_distinct = False
-            first = shaping._seq_from_lex_index(seen[image_bytes], ns, n)
-            counterexample = f"images collide: {tuple(first)} and {tuple(seq)} both map to {tuple(image)}"
+            first = next(islice(product(range(ns), repeat=n), seen[image_bytes], None))
+            counterexample = f"images collide: {first} and {symbols} both map to {tuple(image)}"
             break
         seen[image_bytes] = lex
 

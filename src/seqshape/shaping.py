@@ -199,31 +199,11 @@ def _space_size(ns: int, length: int, max_space: int) -> int:
     return size
 
 
-# a few hundred bytes per space: room for the head and tail widths order
-# builds name multisets at, and the spaces the oracle lists by lex index
-@lru_cache(maxsize=64)
-def _lex_places(ns: int, length: int) -> np.ndarray:
-    """The place values ``ns**(length-1), ..., ns, 1`` of a lex index, read-only ``int64``."""
-    places = ns ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    places.setflags(write=False)
-    return places
-
-
-def _digits_from_lex(lex, ns: int, length: int) -> np.ndarray:
-    """Symbols of the sequences with lex index ``lex``.
-
-    A lex index reads a sequence as a base-``ns`` number, first symbol most
-    significant.  ``lex`` is one index, giving ``length`` symbols, or a column
-    of indices (shape ``(m, 1)``), giving one row of symbols per index.
-    """
-    return (lex // _lex_places(ns, length)) % ns
-
-
 def _lex_digits(ns: int, width: int) -> np.ndarray:
     """The symbols of every ``width``-symbol sequence, one ``int64`` row per sequence in lex order.
 
-    Equal to ``_digits_from_lex`` of every lex index, written column by
-    column without a division.
+    Row ``i`` holds the base-``ns`` digits of ``i``, first symbol most
+    significant, written column by column without a division.
     """
     digits = np.empty((ns**width, width), dtype=np.int64)
     for j in range(width):
@@ -239,14 +219,15 @@ def _multisets(ns: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     order of those rows, and for each sequence, in lex order, its
     multiset's row.  Each sequence's sorted symbols are named by the lex
     index they spell, so the distinct names, ascending, are the rows in lex
-    order.
+    order, each read from the first sequence with that name.
     """
     digits = _lex_digits(ns, width)
     # the stable sort is the one the order build's merge runs: as fast at
     # these widths, and it pages in no second sort's code
     digits.sort(axis=1, kind="stable")
-    names, ids = np.unique(digits @ _lex_places(ns, width), return_inverse=True)
-    return _digits_from_lex(names[:, None], ns, width), ids
+    names = digits @ ns ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    _, first, ids = np.unique(names, return_index=True, return_inverse=True)
+    return digits[first], ids
 
 
 def _index_dtype(size: int) -> type:
@@ -467,10 +448,6 @@ def _space_order(ns: int, length: int) -> _Tables:
         array.setflags(write=False)
     views = (memoryview(array) for array in (cls, tails, pos, base, start))
     return _Tables(ns, width, (hid * width).tolist(), *views, _digit_rows(ns, head), _digit_rows(ns, length - head))
-
-
-def _seq_from_lex_index(lex: int, ns: int, length: int) -> Sequence:
-    return _trusted(Sequence, _digits_from_lex(lex, ns, length), ns)
 
 
 def _rerank(seq: Sequence, n: int, length: int, max_space: int) -> Sequence:

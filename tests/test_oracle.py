@@ -15,11 +15,13 @@ from seqshape import (
     ShaperConfig,
     SpaceTooLargeError,
     inverse_adaptive,
+    inverse_exact_sorted,
     oracle_report,
     shaping,
     sorted_space,
     space_descriptor,
     transform_adaptive,
+    transform_exact_sorted,
     validate_strategy,
 )
 
@@ -99,6 +101,19 @@ class TestSortedSpace:
     )
     def test_matches_reference_enumeration(self, ns, length):
         assert sorted_space(ns, length) == ref_sorted_space(ns, length)[0]
+
+    def test_numpy_arguments_cache_int_tables(self):
+        # the tables are cached by value, so numpy arguments must not build
+        # the ones a later exact-sorted call unranks from
+        shaping._space_order.cache_clear()
+        try:
+            listed = sorted_space(np.int64(3), np.int64(3))
+            back = inverse_exact_sorted(transform_exact_sorted(seq([0, 1, 2], 3)))
+            assert type(back.ns) is int and back == seq([0, 1, 2], 3)
+            json.dumps(back.ns)
+            assert listed == sorted_space(3, 3)
+        finally:
+            shaping._space_order.cache_clear()
 
     def test_space_too_large(self):
         with pytest.raises(SpaceTooLargeError):

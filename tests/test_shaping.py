@@ -43,6 +43,11 @@ def random_sequences(max_ns=64, max_len=200):
     )
 
 
+def sorted_counts(symbols, ns):
+    """How often each of the ``ns`` symbols occurs in ``symbols``, ascending."""
+    return sorted(np.bincount(symbols, minlength=ns).tolist())
+
+
 # sha256 of the little-endian int64 bytes of the (order, rank) arrays of the
 # exact-sorted order, taken from the parent commit of the per-multiset order
 # build (which built them whole); now materialised from the order's tables
@@ -257,6 +262,20 @@ class TestAdaptiveTransform:
             for s in itertools.product(range(ns), repeat=length)
         }
         assert len(images) == ns**length
+
+    # at k=1 the shaped output's symbol counts, sorted, are those of 0 followed
+    # by the source: no k=1 output has less information than 0·s
+    @pytest.mark.parametrize("ns,length", [(2, 12), (3, 8), (4, 6)])
+    def test_k1_keeps_the_count_multiset_of_a_zero_prefix_exhaustive(self, ns, length):
+        for symbols in itertools.product(range(ns), repeat=length):
+            shaped = transform_adaptive(seq(symbols, ns), 1)
+            assert sorted_counts(shaped.symbols, ns) == sorted_counts((0, *symbols), ns), symbols
+
+    @given(random_sequences(max_len=400))
+    def test_k1_keeps_the_count_multiset_of_a_zero_prefix(self, data):
+        ns, symbols = data
+        shaped = transform_adaptive(seq(symbols, ns), 1)
+        assert sorted_counts(shaped.symbols, ns) == sorted_counts([0, *symbols], ns)
 
 
 class TestSelfVerification:
@@ -594,23 +613,6 @@ class TestOrderBuild:
         assert shaping._index_dtype(size) is dtype
 
 
-class TestLexPlaces:
-    def test_cached_per_space(self):
-        assert shaping._lex_places(4, 9) is shaping._lex_places(4, 9)
-
-    def test_read_only(self):
-        places = shaping._lex_places(3, 5)
-        with pytest.raises(ValueError, match="read-only"):
-            places[0] = 1
-        assert places.tolist() == [81, 27, 9, 3, 1]
-
-    def test_matches_fresh_powers_for_every_space_up_to_4096_sequences(self):
-        for ns, length in shapes_within(1 << 12):
-            places = shaping._lex_places(ns, length)
-            assert places.dtype == np.int64, (ns, length)
-            assert np.array_equal(places, ns ** np.arange(length - 1, -1, -1, dtype=np.int64)), (ns, length)
-
-
 def brute_multisets(ns, width):
     """Every sequence's sorted symbols, in lex order, told apart by ``np.unique``.
 
@@ -666,7 +668,7 @@ class TestDigitRows:
     def test_lex_digits_match_the_division_for_every_space_up_to_4096_sequences(self):
         for ns, width in [(2, 0), (300, 0), *shapes_within(1 << 12)]:
             digits = shaping._lex_digits(ns, width)
-            expected = shaping._digits_from_lex(np.arange(ns**width)[:, None], ns, width)
+            expected = np.array(list(itertools.product(range(ns), repeat=width)), dtype=np.int64)
             assert digits.dtype == np.int64 and digits.shape == expected.shape, (ns, width)
             assert np.array_equal(digits, expected), (ns, width)
 
