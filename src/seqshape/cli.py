@@ -22,7 +22,6 @@ from .shaping import (
     NotInImageError,
     RoundTripError,
     ShaperConfig,
-    SpaceTooLargeError,
     STRATEGIES,
     inverse_transform,
     transform,
@@ -44,46 +43,49 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the options every experiment shares, declared once for ``run`` and ``sweep``
-    experiment = argparse.ArgumentParser(add_help=False)
+    # the options every command shares, declared once
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--k", type=int, default=1, help="shaping order (length increase)")
+    shared.add_argument("--max-space", type=int, default=DEFAULT_MAX_SPACE,
+                        help="largest exact-sorted space (sequences) to tabulate")
+    # and those of every command that shapes with a chosen strategy
+    shaper = argparse.ArgumentParser(add_help=False, parents=[shared])
+    shaper.add_argument("--strategy", choices=STRATEGIES, default=ADAPTIVE_RANK)
+    experiment = argparse.ArgumentParser(add_help=False, parents=[shaper])
     experiment.add_argument("--trials", type=int, default=1000)
     experiment.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
-    experiment.add_argument("--strategy", choices=STRATEGIES, default=ADAPTIVE_RANK)
-    experiment.add_argument("--k", type=int, default=1, help="shaping order (length increase)")
     experiment.add_argument("--workers", type=int, default=1)
     experiment.add_argument("--out", default=None, help="write results to this path")
     experiment.add_argument("--format", choices=("csv", "json"), default="json")
-    experiment.add_argument("--max-space", type=int, default=DEFAULT_MAX_SPACE,
-                            help="largest exact-sorted space (sequences) to tabulate")
 
     run = sub.add_parser("run", parents=[experiment], help="run one seeded shaping experiment")
+    run.set_defaults(handler=_cmd_run)
     run.add_argument("--ns", type=int, required=True, help="alphabet size")
     run.add_argument("--len", type=int, required=True, dest="n", help="sequence length")
     run.add_argument("--pmax", type=float, required=True, help="probability of the favored symbol")
 
     sweep = sub.add_parser("sweep", parents=[experiment], help="run the reference benchmark grid")
+    sweep.set_defaults(handler=_cmd_sweep)
     sweep.add_argument("--table1", action="store_true", required=True,
                        help="the ns in {30,40,50,60}, len 400, pmax 0.5 grid")
 
-    oracle = sub.add_parser("oracle", help="exact optimal-shaping statistics from type classes")
+    oracle = sub.add_parser("oracle", parents=[shared],
+                            help="exact optimal-shaping statistics from type classes")
+    oracle.set_defaults(handler=_cmd_oracle)
     oracle.add_argument("--ns", type=int, required=True)
     oracle.add_argument("--len", type=int, required=True, dest="n")
-    oracle.add_argument("--k", type=int, default=1)
     oracle.add_argument("--validate", choices=STRATEGIES, default=None,
                         help="also drive this strategy over the whole space")
-    oracle.add_argument("--max-space", type=int, default=DEFAULT_MAX_SPACE)
 
     for name, help_text in (
         ("transform", "shape one sequence file"),
         ("invert", "unshape one sequence file"),
     ):
-        cmd = sub.add_parser(name, help=help_text)
+        cmd = sub.add_parser(name, parents=[shaper], help=help_text)
+        cmd.set_defaults(handler=_cmd_transform)
         cmd.add_argument("--in", dest="infile", required=True, help="input sequence file")
         cmd.add_argument("--out", dest="outfile", default=None,
                          help="output sequence file (stdout when omitted)")
-        cmd.add_argument("--k", type=int, default=1)
-        cmd.add_argument("--strategy", choices=STRATEGIES, default=ADAPTIVE_RANK)
-        cmd.add_argument("--max-space", type=int, default=DEFAULT_MAX_SPACE)
 
     return parser
 
@@ -126,7 +128,7 @@ def _cmd_oracle(args) -> int:
     exit_code = EXIT_OK
     if args.validate is not None:
         cfg = ShaperConfig(ns=args.ns, strategy=args.validate, k=args.k, max_space=args.max_space)
-        validation = validate_strategy(cfg, args.ns, args.n, max_space=args.max_space)
+        validation = validate_strategy(cfg, args.ns, args.n)
         payload["validation"] = dataclasses.asdict(validation)
         payload["validation"]["ok"] = validation.ok
         if not validation.ok:
@@ -135,40 +137,27 @@ def _cmd_oracle(args) -> int:
     return exit_code
 
 
-def _cmd_transform(args, invert: bool) -> int:
+def _cmd_transform(args) -> int:
     from .seqio import read_sequence, write_sequence
 
     seq = read_sequence(args.infile)
     cfg = ShaperConfig(ns=seq.ns, strategy=args.strategy, k=args.k, max_space=args.max_space)
-    result = inverse_transform(seq, cfg) if invert else transform(seq, cfg)
-    if args.outfile:
-        write_sequence(result, args.outfile)
-    else:
-        write_sequence(result, sys.stdout)
+    result = (inverse_transform if args.command == "invert" else transform)(seq, cfg)
+    write_sequence(result, args.outfile or sys.stdout)
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "transform":
-            return _cmd_transform(args, invert=False)
-        if args.command == "invert":
-            return _cmd_transform(args, invert=True)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.handler(args)
     except NotInImageError:
         print("not in image", file=sys.stderr)
         return EXIT_NOT_IN_IMAGE
     except RoundTripError as exc:
         print(f"round-trip failure: {exc}", file=sys.stderr)
         return EXIT_ROUNDTRIP_FAILURE
-    except (SpaceTooLargeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except MemoryError as exc:

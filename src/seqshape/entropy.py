@@ -170,7 +170,9 @@ def entropy_length_product(seq: Sequence) -> float:
     """
     if len(seq) == 0:
         raise ValueError("information content of an empty sequence is undefined")
-    counts = np.bincount(seq.symbols, minlength=seq.ns)
+    # no minlength: only the symbols present are read, so the cost follows
+    # the sequence, not the declared alphabet
+    counts = np.bincount(seq.symbols)
     freqs = counts[seq.symbols] / len(seq)
     return float(-np.log2(freqs).sum()) + 0.0
 

@@ -295,28 +295,24 @@ def export(
     are serialized with 9 significant digits; booleans as ``true``/``false``.
     """
     path = Path(path)
-    if format == "json":
-        payload = {
-            "summaries": [summary_to_dict(s) for s in summaries],
-            "records": [record_to_dict(r) for r in (records or [])],
-        }
-        try:
-            path.write_text(json.dumps(payload, indent=2) + "\n")
-        except OSError as exc:
-            raise OSError(f"cannot write {path}: {exc}") from exc
-        return
-    if format != "csv":
+    if format not in ("csv", "json"):
         raise ValueError(f"unknown export format {format!r}; expected 'csv' or 'json'")
-
     try:
-        with path.open("w", newline="") as out:
-            writer = csv.writer(out)
-            if records is not None:
-                fields, rows = _RECORD_FIELDS, [vars(r) for r in records]
-            else:
-                # a summary's table row takes ns, n and pmax from its spec
-                fields, rows = _SUMMARY_FIELDS, [{**vars(s), **vars(s.spec)} for s in summaries]
-            writer.writerow(fields)
-            writer.writerows([_csv_cell(row[field]) for field in fields] for row in rows)
+        if format == "json":
+            payload = {
+                "summaries": [summary_to_dict(s) for s in summaries],
+                "records": [record_to_dict(r) for r in (records or [])],
+            }
+            path.write_text(json.dumps(payload, indent=2) + "\n")
+        else:
+            with path.open("w", newline="") as out:
+                writer = csv.writer(out)
+                if records is not None:
+                    fields, rows = _RECORD_FIELDS, [vars(r) for r in records]
+                else:
+                    # a summary's table row takes ns, n and pmax from its spec
+                    fields, rows = _SUMMARY_FIELDS, [{**vars(s), **vars(s.spec)} for s in summaries]
+                writer.writerow(fields)
+                writer.writerows([_csv_cell(row[field]) for field in fields] for row in rows)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc

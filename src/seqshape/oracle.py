@@ -160,8 +160,8 @@ def oracle_report(ns: int, n: int, k: int, max_space: int = DEFAULT_MAX_SPACE) -
     "Enumerative source encoding"; the method of types), never enumerated.
     Each average is the exact sum of the values, rounded once to a float,
     divided by ns^n: bit for bit ``math.fsum`` over the sorted per-sequence
-    values divided by ns^n.  Both spaces must still lie within the
-    enumeration bound ``max_space``.
+    values divided by ns^n.  Both spaces must still lie within
+    ``max_space`` (``--max-space``).
     """
     k = shaping._check_k(k)
     desc = space_descriptor(ns, n, max_space)
@@ -182,7 +182,7 @@ def oracle_report(ns: int, n: int, k: int, max_space: int = DEFAULT_MAX_SPACE) -
     )
 
 
-def validate_strategy(cfg: ShaperConfig, ns: int, n: int, max_space: int = DEFAULT_MAX_SPACE) -> ValidationReport:
+def validate_strategy(cfg: ShaperConfig, ns: int, n: int) -> ValidationReport:
     """Drive one strategy over every sequence of A^n and check its contract.
 
     Verifies the round trip and pairwise-distinct images for any strategy;
@@ -190,14 +190,16 @@ def validate_strategy(cfg: ShaperConfig, ns: int, n: int, max_space: int = DEFAU
     ns^n lowest-ordered target sequences: the images being distinct, that is
     every image's target rank being below ns^n.  The first failure is
     captured with both offending sequences spelled out; for the image set,
-    the lex-smallest missing and unexpected sequences.
+    the lex-smallest missing and unexpected sequences.  The source space, and
+    for ``exact-sorted`` the target space, must lie within ``cfg.max_space``
+    before any sequence is transformed.
     """
     if cfg.ns != ns:
         raise ValueError(f"config alphabet {cfg.ns} != requested alphabet {ns}")
-    desc = space_descriptor(ns, n, max_space)
-    ns, n, k = desc.ns, desc.length, shaping._check_k(cfg.k)
+    desc = space_descriptor(ns, n, cfg.max_space)
+    ns, n, k = desc.ns, desc.length, cfg.k
     if cfg.strategy == EXACT_SORTED:
-        space_descriptor(ns, n + k, max_space)
+        space_descriptor(ns, n + k, cfg.max_space)
 
     roundtrip_ok = True
     images_distinct = True

@@ -13,7 +13,8 @@ Two interchangeable strategies are provided:
 * ``exact-sorted`` - rank the source sequence in the total order of its whole
   space keyed by (information content, lexicographic) and map it to the same
   rank in the target space's order.  Exact but exponential: only usable while
-  ns^(N+K) stays within the enumeration bound.
+  ns^(N+K) stays within ``max_space`` (``--max-space`` on the command line),
+  the largest space whose order it tabulates.
 
 The exact-sorted order of a space is built on first use and cached as
 tables that rank and unrank without listing the space (the method of types:
@@ -71,7 +72,9 @@ ADAPTIVE_RANK = "adaptive-rank"
 EXACT_SORTED = "exact-sorted"
 STRATEGIES = (ADAPTIVE_RANK, EXACT_SORTED)
 
-# keeps exact-sorted enumeration in the comfortably-interactive range
+# the largest space (sequences) whose exact-sorted order is tabulated, or whose
+# oracle is computed, unless ``max_space`` (``--max-space``) says otherwise: it
+# keeps a first call's order build in the comfortably-interactive range
 DEFAULT_MAX_SPACE = 1 << 24
 # lex indices and their place values are int64
 _MAX_LEX_INDEX = np.iinfo(np.int64).max
@@ -87,7 +90,7 @@ class NotInImageError(Exception):
 
 
 class SpaceTooLargeError(ValueError):
-    """ns^length exceeds the configured enumeration bound or the int64 lex indices."""
+    """ns^length exceeds ``max_space`` (``--max-space``), the largest space tabulated, or the int64 lex indices."""
 
 
 class RoundTripError(RuntimeError):

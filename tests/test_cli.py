@@ -234,6 +234,18 @@ class TestRunAndSweep:
         assert excinfo.value.code == 2
 
 
+class TestHelp:
+    @pytest.mark.parametrize("command", ["run", "sweep", "oracle", "transform", "invert"])
+    def test_shared_options_have_their_help(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        # argparse wraps to the terminal width; compare with whitespace collapsed
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--k K shaping order (length increase)" in out
+        assert "--max-space MAX_SPACE largest exact-sorted space (sequences) to tabulate" in out
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         src = write_seq_file(tmp_path, "in.txt", 3, [2, 2, 2])

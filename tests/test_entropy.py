@@ -141,6 +141,11 @@ class TestEntropyLengthProduct:
         with pytest.raises(ValueError):
             entropy_length_product(seq([], 2))
 
+    def test_cost_follows_the_sequence_not_the_alphabet(self):
+        # a bincount the length of the declared alphabet would be 2^62 entries
+        value = entropy_length_product(seq([0, 1, 1], 2**62))
+        assert value.hex() == entropy_length_product(seq([0, 1, 1], 2)).hex() == "0x1.60a02756f9c1ep+1"
+
     @given(random_sequences())
     def test_matches_reference(self, data):
         ns, symbols = data

@@ -265,6 +265,15 @@ class TestValidateStrategy:
         with pytest.raises(ValueError):
             validate_strategy(ShaperConfig(ns=3), 4, 2)
 
+    def test_target_space_refused_by_the_config_bound_before_any_transform(self, monkeypatch):
+        def no_transform(s, cfg):
+            raise AssertionError("transform called for a space beyond the bound")
+
+        monkeypatch.setattr(oracle_mod, "transform", no_transform)
+        cfg = ShaperConfig(ns=2, strategy=EXACT_SORTED, max_space=4)
+        with pytest.raises(SpaceTooLargeError, match=r"2\^3 = 8 sequences exceed the enumeration bound 4"):
+            validate_strategy(cfg, 2, 2)
+
     @pytest.mark.parametrize("strategy", [ADAPTIVE_RANK, EXACT_SORTED])
     def test_numpy_integers_give_the_int_report(self, strategy):
         cfg = ShaperConfig(ns=3, strategy=strategy)
