@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--k", type=int, default=1, help="shaping order (length increase)")
     shared.add_argument("--max-space", type=int, default=DEFAULT_MAX_SPACE,
-                        help="largest exact-sorted space (sequences) to tabulate")
+                        help="largest space (sequences) tabulated or reported: an exact-sorted order, an oracle's spaces")
     # and those of every command that shapes with a chosen strategy
     shaper = argparse.ArgumentParser(add_help=False, parents=[shared])
     shaper.add_argument("--strategy", choices=STRATEGIES, default=ADAPTIVE_RANK)

@@ -56,7 +56,9 @@ def _check_symbols(values, ns: int, noun: str) -> tuple[int, np.ndarray]:
     arr = arr.astype(np.int64)
     if arr.ndim != 1:
         raise ValueError(f"{noun}s must be one-dimensional, got shape {arr.shape}")
-    if arr.size and (arr.min() < 0 or arr.max() >= ns):
+    # read as uint64, a negative value lies above every ns <= 2**63 - 1: one
+    # reduction checks both ends, compared as Python ints on any numpy
+    if arr.size and int(arr.view(np.uint64).max()) >= ns:
         raise ValueError(f"{noun} out of range [0, {ns})")
     arr.setflags(write=False)
     return ns, arr

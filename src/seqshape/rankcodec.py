@@ -16,13 +16,15 @@ encoder needs no walk, as a symbol's rank depends only on the counts of
 earlier positions, and a cumulative sum gives those for every position at
 once.  A long sequence (``_VECTOR_MIN_LENGTH`` symbols or more) over a small
 alphabet (at most ``_VECTOR_MAX_NS`` symbols) encoded with no state is taken
-that way, in numpy with int32 keys; every other encode is the scalar walk.
-Both give the same digits.
+that way, in numpy with int32 keys.  Any other encode with no state walks
+the sorted keys alone, with each symbol's own current key beside them; an
+encode given a state walks that state.  All three give the same digits.
 
-A caller's :class:`RankState` is only ever advanced by that walk, so its
-``counts``, keys and ``comparisons`` have one definition.  A pass given no
-state keeps nothing beyond its output: the vector encoder and the decoder
-start from the identity keys and build no state at all.
+A caller's :class:`RankState` is only ever advanced by :meth:`RankState._walk`,
+so its ``counts``, keys and ``comparisons`` have one definition.  A pass
+given no state keeps nothing beyond its output: the vector encoder, the
+short encode and the decoder start from the identity keys and build no
+state at all.
 
 Frequently seen symbols sit at low ranks, so on skewed sources the digit
 stream concentrates near digit 0 while remaining a bijection on the full
@@ -30,7 +32,7 @@ symbol space at every length.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +194,33 @@ def _encode(symbols: np.ndarray, ns: int) -> np.ndarray:
     return digits
 
 
+def _ranks(symbols: list, ns: int) -> list:
+    """The ranks of ``symbols`` stepped past in turn from the identity keys; ``_walk`` with no state.
+
+    Beside the sorted keys it keeps only each symbol's own current key
+    (``own[symbol]``, ``symbol - count * ns``): no counts and no
+    comparisons.
+    """
+    keys = _identity_keys(ns)
+    own = keys.copy()
+    ranks = []
+    append = ranks.append
+    for symbol in symbols:
+        key = own[symbol]
+        p = bisect_left(keys, key)
+        append(p)
+        key -= ns
+        own[symbol] = key
+        if p:
+            # the lowered key's place lies at or before rank p, and keys are
+            # distinct, so insort puts it where bisect_left would
+            del keys[p]
+            insort(keys, key)
+        else:
+            keys[0] = key
+    return ranks
+
+
 def _decode(keys: list, ns: int, digits: list):
     """The symbols at ``digits`` stepped past in turn, moving the sorted ``keys`` in place.
 
@@ -206,9 +235,11 @@ def _decode(keys: list, ns: int, digits: list):
     for p in digits:
         if p:
             # every key the bisect counts lies before rank p, so it finds
-            # the same place with the moved key already popped
+            # the same place with the moved key already popped; keys are
+            # distinct (each is its symbol mod ns), so insort's bisect_right
+            # is bisect_left
             key = keys.pop(p) - ns
-            keys.insert(bisect_left(keys, key), key)
+            insort(keys, key)
         else:
             key = keys[0] = keys[0] - ns
         append(key)
@@ -247,8 +278,8 @@ def to_digits(seq: Sequence, state: RankState | None = None) -> DigitStream:
     step-by-step walk leaves them.  With no state, a sequence of at least
     ``_VECTOR_MIN_LENGTH`` symbols over at most ``_VECTOR_MAX_NS`` is encoded
     in numpy, every rank from one cumulative sum of keys per block of
-    positions; anything else is walked on a fresh state.  The digits are the
-    same on either path.
+    positions; anything else walks the identity keys with no ``RankState``
+    and no bookkeeping.  The digits are the same on every path.
     """
     length = len(seq)
     if length == 0:
@@ -257,8 +288,8 @@ def to_digits(seq: Sequence, state: RankState | None = None) -> DigitStream:
     if state is None:
         if length >= _VECTOR_MIN_LENGTH and ns <= _VECTOR_MAX_NS and ns * (length + 1) < _VECTOR_KEY_LIMIT:
             return _trusted(DigitStream, _encode(seq.symbols, ns), ns)
-        state = RankState(ns)
-    elif state.ns != ns:
+        return _trusted(DigitStream, _ranks(seq.symbols.tolist(), ns), ns)
+    if state.ns != ns:
         raise ValueError(f"state alphabet {state.ns} != sequence alphabet {ns}")
     return _trusted(DigitStream, state._walk(seq.symbols.tolist()), ns)
 

@@ -76,6 +76,8 @@ STRATEGIES = (ADAPTIVE_RANK, EXACT_SORTED)
 # oracle is computed, unless ``max_space`` (``--max-space``) says otherwise: it
 # keeps a first call's order build in the comfortably-interactive range
 DEFAULT_MAX_SPACE = 1 << 24
+# how the messages about a bad bound name it
+_BOUND = "max_space (the largest space tabulated or reported)"
 # lex indices and their place values are int64
 _MAX_LEX_INDEX = np.iinfo(np.int64).max
 # symbols merged, and table entries written, per batch of an order build:
@@ -90,7 +92,7 @@ class NotInImageError(Exception):
 
 
 class SpaceTooLargeError(ValueError):
-    """ns^length exceeds ``max_space`` (``--max-space``), the largest space tabulated, or the int64 lex indices."""
+    """ns^length exceeds ``max_space`` (``--max-space``), the largest space tabulated or reported, or the int64 lex indices."""
 
 
 class RoundTripError(RuntimeError):
@@ -117,9 +119,9 @@ class ShaperConfig:
         # still exports to JSON
         object.__setattr__(self, "ns", _check_ns(self.ns))
         object.__setattr__(self, "k", _check_k(self.k))
-        object.__setattr__(self, "max_space", _check_integer(self.max_space, "enumeration bound"))
+        object.__setattr__(self, "max_space", _check_integer(self.max_space, _BOUND))
         if self.max_space < 2:
-            raise ValueError("enumeration bound must be >= 2")
+            raise ValueError(f"{_BOUND} must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,8 @@ def transform_adaptive(seq: Sequence, k: int = 1) -> Sequence:
     if len(seq) == 0:
         raise ValueError("cannot shape an empty sequence")
     digits = to_digits(seq)
-    shaped = np.concatenate([np.zeros(k, dtype=np.int64), digits.digits])
+    shaped = np.zeros(k + len(seq), dtype=np.int64)
+    shaped[k:] = digits.digits
     return from_digits(_trusted(DigitStream, shaped, seq.ns))
 
 
@@ -177,11 +180,12 @@ def _in_image(seq: Sequence, k: int) -> bool:
     """:func:`is_in_image` for a checked ``k``."""
     if len(seq) <= k:
         raise ValueError(f"shaped sequence must be longer than k={k}, got length {len(seq)}")
-    return not np.count_nonzero(seq.symbols[:k])
+    # a list's any() is cheaper than numpy's count at the few symbols of k
+    return not any(seq.symbols[:k].tolist())
 
 
 def _check_space(ns: int, length: int, max_space: int) -> int:
-    return _space_size(ns, length, _check_integer(max_space, "enumeration bound"))
+    return _space_size(ns, length, _check_integer(max_space, _BOUND))
 
 
 # every warm exact-sorted call checks its space; a refusal raises, so it is
@@ -197,7 +201,7 @@ def _space_size(ns: int, length: int, max_space: int) -> int:
         )
     if size > max_space:
         raise SpaceTooLargeError(
-            f"{ns}^{length} = {size} sequences exceed the enumeration bound {max_space}"
+            f"{ns}^{length} = {size} sequences exceed max_space {max_space}, the largest space tabulated or reported"
         )
     return size
 

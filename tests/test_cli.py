@@ -216,7 +216,7 @@ class TestRunAndSweep:
                 "--strategy", "exact-sorted", "--max-space", "4096"]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err == "error: 64^4 = 16777216 sequences exceed the enumeration bound 4096\n"
+        assert err == "error: 64^4 = 16777216 sequences exceed max_space 4096, the largest space tabulated or reported\n"
 
     def test_sweep_renders_reference_comparison(self, tmp_path, capsys):
         out = tmp_path / "sweep.json"
@@ -243,7 +243,7 @@ class TestHelp:
         # argparse wraps to the terminal width; compare with whitespace collapsed
         out = " ".join(capsys.readouterr().out.split())
         assert "--k K shaping order (length increase)" in out
-        assert "--max-space MAX_SPACE largest exact-sorted space (sequences) to tabulate" in out
+        assert "--max-space MAX_SPACE largest space (sequences) tabulated or reported: an exact-sorted order, an oracle's spaces" in out
 
 
 class TestEntryPoint:

@@ -62,6 +62,33 @@ class TestSequenceValidation:
         with pytest.raises(ValueError):
             seq([-1], 2)
 
+    @pytest.mark.parametrize("make,noun", [(Sequence, "symbol"), (DigitStream, "digit")])
+    @pytest.mark.parametrize(
+        "values,ns",
+        [
+            ([0, -1], 3),
+            (np.array([-(2**63)], dtype=np.int64), 3),
+            ([2, 3], 3),
+            (np.array([2**63], dtype=np.uint64), 3),
+            (np.array([1, 2**64 - 1], dtype=np.uint64), 3),
+            (np.array([2**63 - 1], dtype=np.int64), 2**63 - 1),
+            (np.array([2**63], dtype=np.uint64), 2**63 - 1),
+        ],
+    )
+    def test_range_check_at_both_ends(self, make, noun, values, ns):
+        # one uint64 reduction checks both ends: negative int64 values, and
+        # uint64 values of 2**63 and more, lie above every ns
+        with pytest.raises(ValueError, match=rf"^{noun} out of range \[0, {ns}\)$"):
+            make(values, ns)
+
+    @pytest.mark.parametrize("make,field", [(Sequence, "symbols"), (DigitStream, "digits")])
+    def test_range_check_accepts_the_edges(self, make, field):
+        for values, ns in (([0, 2], 3), (np.array([0, 2**63 - 2], dtype=np.uint64), 2**63 - 1)):
+            assert getattr(make(values, ns), field).tolist() == [int(v) for v in values]
+        # an empty array has no value to check, as before
+        for values in ([], np.array([], dtype=np.uint64), np.array([], dtype=np.float64)):
+            assert len(make(values, 3)) == 0
+
     def test_ns_too_small(self):
         with pytest.raises(ValueError):
             seq([0], 1)

@@ -271,7 +271,7 @@ class TestValidateStrategy:
 
         monkeypatch.setattr(oracle_mod, "transform", no_transform)
         cfg = ShaperConfig(ns=2, strategy=EXACT_SORTED, max_space=4)
-        with pytest.raises(SpaceTooLargeError, match=r"2\^3 = 8 sequences exceed the enumeration bound 4"):
+        with pytest.raises(SpaceTooLargeError, match=r"^2\^3 = 8 sequences exceed max_space 4, the largest space tabulated or reported$"):
             validate_strategy(cfg, 2, 2)
 
     @pytest.mark.parametrize("strategy", [ADAPTIVE_RANK, EXACT_SORTED])

@@ -416,6 +416,20 @@ def assert_stateless_passes_match(values, ns, k=1):
     assert from_digits(stream(to_digits(shaped, RankState(ns)).digits[k:], ns), RankState(ns)) == s
 
 
+@pytest.fixture
+def states_made(monkeypatch):
+    """Every ``RankState`` built while the test runs, in order."""
+    made = []
+    init = RankState.__init__
+
+    def record(state, ns):
+        init(state, ns)
+        made.append(state)
+
+    monkeypatch.setattr(RankState, "__init__", record)
+    return made
+
+
 class TestStatelessPasses:
     """A pass given no state skips the bookkeeping, and nothing it returns changes."""
 
@@ -440,20 +454,50 @@ class TestStatelessPasses:
     def test_random_sizes(self, data, k):
         assert_stateless_passes_match(data[1], data[0], k)
 
-    def test_no_bookkeeping_without_a_state(self, monkeypatch):
+    def test_no_bookkeeping_without_a_state(self, states_made):
         # the vector encoder and the decoder start from the identity keys:
         # a stateless round trip at a Table-1 size builds no RankState
-        made = []
-        init = RankState.__init__
-
-        def record(state, ns):
-            init(state, ns)
-            made.append(state)
-
-        monkeypatch.setattr(RankState, "__init__", record)
         symbols = seq(skewed(40, 400, 1), 40)
         assert from_digits(to_digits(symbols)) == symbols
-        assert made == []
+        assert states_made == []
+
+    @pytest.mark.parametrize("ns,length", [(3, 9), (100, 9)])
+    def test_no_bookkeeping_at_short_lengths(self, states_made, ns, length):
+        # below the vector encoder's size rule a stateless encode walks the
+        # identity keys alone: a short round trip, or a shaping and its
+        # inverse, builds no RankState
+        symbols = seq(skewed(ns, length, 1), ns)
+        assert from_digits(to_digits(symbols)) == symbols
+        assert inverse_adaptive(transform_adaptive(symbols)) == symbols
+        assert states_made == []
+
+    @pytest.mark.parametrize("ns,max_length", [(2, 10), (3, 7), (4, 6)])
+    def test_short_encode_is_the_walk_exhaustively(self, ns, max_length):
+        for length in range(1, max_length + 1):
+            for values in itertools.product(range(ns), repeat=length):
+                ranks = rankcodec._ranks(list(values), ns)
+                assert ranks == RankState(ns)._walk(list(values))
+                assert tuple(ranks) == ref_to_digits(values, ns)
+
+    @pytest.mark.parametrize("ns", [2, MAX_NS, MAX_NS + 1])
+    @pytest.mark.parametrize("length", [MIN_LENGTH - 1, MIN_LENGTH])
+    def test_short_encode_around_the_size_rule(self, monkeypatch, vector_calls, ns, length):
+        # to_digits with no state takes exactly one of the vector encoder
+        # and the short encode, and both give the walk's digits
+        short_calls = []
+        ranks = rankcodec._ranks
+
+        def spy(symbols, ns):
+            short_calls.append(len(symbols))
+            return ranks(symbols, ns)
+
+        monkeypatch.setattr(rankcodec, "_ranks", spy)
+        symbols = skewed(ns, length, ns * 10_000 + length)
+        digits = to_digits(seq(symbols, ns)).digits.tolist()
+        vector = length >= MIN_LENGTH and ns <= MAX_NS
+        assert (vector_calls, short_calls) == (([length], []) if vector else ([], [length]))
+        assert digits == ranks(symbols, ns) == RankState(ns)._walk(list(symbols))
+        assert tuple(digits) == ref_to_digits(symbols, ns)
 
 
 def assert_as_if_checked(built, public, field):

@@ -338,7 +338,7 @@ class TestExactSortedTransform:
     def test_numpy_k_is_refused_as_an_int(self, k):
         # a numpy k once made the length a numpy int, whose 2**63 overflowed
         # past the space check into a failed order build
-        refused = r"^2\^63 = 9223372036854775808 sequences exceed the enumeration bound"
+        refused = r"^2\^63 = 9223372036854775808 sequences exceed max_space "
         with pytest.raises(SpaceTooLargeError, match=refused):
             transform_exact_sorted(seq([0] * 62, 2), k)
         with pytest.raises(SpaceTooLargeError, match=refused):
@@ -584,10 +584,10 @@ class TestOrderBuild:
     def test_space_check_cached_only_for_an_integer_bound(self):
         assert shaping._check_space(4, 10, 1 << 24) == 4**10
         # equal to the cached bound, and still not an integer
-        with pytest.raises(TypeError, match="enumeration bound must be an integer"):
+        with pytest.raises(TypeError, match=r"^max_space \(the largest space tabulated or reported\) must be an integer"):
             shaping._check_space(4, 10, float(1 << 24))
         for _ in range(2):
-            with pytest.raises(SpaceTooLargeError, match=r"^4\^13 = 67108864 sequences exceed the enumeration bound"):
+            with pytest.raises(SpaceTooLargeError, match=r"^4\^13 = 67108864 sequences exceed max_space 16777216, the largest"):
                 shaping._check_space(4, 13, 1 << 24)
 
     def test_order_too_large_for_memory_raises_before_building(self, monkeypatch):
@@ -694,8 +694,10 @@ class TestDispatchAndConfig:
             ShaperConfig(ns=1)
         with pytest.raises(ValueError):
             ShaperConfig(ns=3, k=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^max_space \(the largest space tabulated or reported\) must be >= 2$"):
             ShaperConfig(ns=3, max_space=1)
+
+    BAD_BOUND = r"^max_space \(the largest space tabulated or reported\) must be an integer, got "
 
     @pytest.mark.parametrize(
         "build,message",
@@ -712,12 +714,12 @@ class TestDispatchAndConfig:
             (lambda: space_descriptor(3, 2.5), "length"),
             (lambda: SourceSpec(ns=3, n=2.5, pmax=0.5), "sequence length"),
             (lambda: oracle_report(3, 2.5, 1), "length"),
-            (lambda: ShaperConfig(ns=3, max_space=2.5), "enumeration bound"),
-            (lambda: ShaperConfig(ns=3, max_space="x"), "enumeration bound"),
-            (lambda: transform_exact_sorted(seq([0, 1], 2), 1, True), "enumeration bound"),
-            (lambda: inverse_exact_sorted(seq([0, 1, 0], 2), 1, 64.0), "enumeration bound"),
-            (lambda: space_descriptor(3, 2, max_space=1e6), "enumeration bound"),
-            (lambda: oracle_report(3, 2, 1, max_space=np.float64(100)), "enumeration bound"),
+            (lambda: ShaperConfig(ns=3, max_space=2.5), BAD_BOUND),
+            (lambda: ShaperConfig(ns=3, max_space="x"), BAD_BOUND),
+            (lambda: transform_exact_sorted(seq([0, 1], 2), 1, True), BAD_BOUND),
+            (lambda: inverse_exact_sorted(seq([0, 1, 0], 2), 1, 64.0), BAD_BOUND),
+            (lambda: space_descriptor(3, 2, max_space=1e6), BAD_BOUND),
+            (lambda: oracle_report(3, 2, 1, max_space=np.float64(100)), BAD_BOUND),
         ],
         ids=[
             "float-digits", "bool-digits", "config-ns", "config-k", "source-ns",
