@@ -28,9 +28,13 @@ __all__ = [
 def _check_integer(value, what: str) -> int:
     if type(value) is int:  # the common case, checked on every exact-sorted call
         return value
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+    if not _is_integer(value):
         raise TypeError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_ns(ns: int) -> int:
@@ -52,7 +56,12 @@ def _check_symbols(values, ns: int, noun: str) -> tuple[int, np.ndarray]:
     ns = _check_ns(ns)
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind not in "iu":
-        raise TypeError(f"{noun}s must be integers")
+        if arr.dtype.kind != "O" or not all(map(_is_integer, arr.flat)):
+            raise TypeError(f"{noun}s must be integers")
+        # integers in an object array: numpy keeps those beyond int64 and
+        # uint64 there, and no such integer lies in [0, ns)
+        if not all(0 <= v < ns for v in arr.flat):
+            raise ValueError(f"{noun} out of range [0, {ns})")
     arr = arr.astype(np.int64)
     if arr.ndim != 1:
         raise ValueError(f"{noun}s must be one-dimensional, got shape {arr.shape}")
@@ -78,21 +87,40 @@ def _same_int64(a: np.ndarray, b: np.ndarray) -> bool:
     return bool((a == b).all())
 
 
+# a dtype object: asarray and frombuffer take it faster than the type np.int64
+_INT64 = np.dtype(np.int64)
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _wrap(cls, arr: np.ndarray, ns: int):
+    """A ``cls`` (:class:`Sequence` or ``DigitStream``) around ``arr`` itself, skipping its checks.
+
+    ``arr`` must be a read-only one-dimensional ``int64`` array whose memory
+    no caller writes, every value in ``[0, ns)`` for an ``ns`` already
+    checked: ``np.frombuffer`` of bytes, a slice of such an array, or what
+    :func:`_trusted` makes.  It is stored without a copy, in the field the
+    class names by ``_values``.  Public construction never comes here and
+    keeps every check.
+    """
+    obj = _new(cls)
+    _set(obj, cls._values, arr)
+    _set(obj, "ns", ns)
+    return obj
+
+
 def _trusted(cls, values, ns: int):
-    """A ``cls`` (:class:`Sequence` or ``DigitStream``) of ``values``, skipping its checks.
+    """A ``cls`` of ``values``, skipping its checks: :func:`_wrap` of them as a read-only ``int64`` array.
 
     Only for values the package has just computed itself, all in ``[0, ns)``
     for an ``ns`` already checked: the rank codec's output, digit streams cut
     from it, and the oracle's tuples from ``itertools.product(range(ns))``.
-    ``values`` must be a list, a tuple or an array no caller holds.  Public
-    construction never comes here and keeps every check.
+    ``values`` must be a list, a tuple or an ``int64`` array no caller holds,
+    as an array is frozen in place, not copied.
     """
-    arr = np.asarray(values, dtype=np.int64)
+    arr = np.asarray(values, _INT64)
     arr.setflags(write=False)
-    obj = object.__new__(cls)
-    object.__setattr__(obj, next(iter(cls.__dataclass_fields__)), arr)
-    object.__setattr__(obj, "ns", ns)
-    return obj
+    return _wrap(cls, arr, ns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +133,8 @@ class Sequence:
 
     symbols: np.ndarray
     ns: int
+    # the field that holds the values, for :func:`_wrap`
+    _values = "symbols"
 
     def __post_init__(self):
         ns, arr = _check_symbols(self.symbols, self.ns, "symbol")
@@ -112,7 +142,7 @@ class Sequence:
         object.__setattr__(self, "ns", ns)
 
     def __len__(self) -> int:
-        return int(self.symbols.size)
+        return self.symbols.size
 
     def __iter__(self):
         return iter(self.symbols.tolist())

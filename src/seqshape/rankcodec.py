@@ -70,6 +70,8 @@ class DigitStream:
 
     digits: np.ndarray
     ns: int
+    # the field that holds the values, for ``entropy._wrap``
+    _values = "digits"
 
     def __post_init__(self):
         ns, arr = _check_symbols(self.digits, self.ns, "digit")
@@ -77,7 +79,7 @@ class DigitStream:
         object.__setattr__(self, "ns", ns)
 
     def __len__(self) -> int:
-        return int(self.digits.size)
+        return self.digits.size
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DigitStream):

@@ -40,10 +40,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .entropy import (
+    _INT64,
     Sequence,
     _check_integer,
     _check_ns,
     _trusted,
+    _wrap,
     entropy_length_product,
     info_from_sorted_counts,
 )
@@ -83,8 +85,6 @@ _MAX_LEX_INDEX = np.iinfo(np.int64).max
 # symbols merged, and table entries written, per batch of an order build:
 # small enough that a batch's work stays in cache
 _STEP = 1 << 14
-# a dtype object: frombuffer takes it about twice as fast as the type np.int64
-_INT64 = np.dtype(np.int64)
 
 
 class NotInImageError(Exception):
@@ -163,7 +163,8 @@ def inverse_adaptive(seq: Sequence, k: int = 1) -> Sequence:
     if not _in_image(seq, k):
         raise NotInImageError("not in image")
     digits = to_digits(seq)
-    return from_digits(_trusted(DigitStream, digits.digits[k:], seq.ns))
+    # a slice of a read-only array is read-only: wrapped as it is
+    return from_digits(_wrap(DigitStream, digits.digits[k:], seq.ns))
 
 
 def is_in_image(seq: Sequence, k: int = 1) -> bool:
@@ -368,11 +369,8 @@ class _Tables:
         h = j % len(self.rows)
         t = self.tails[self.rows[h] + r - self.start[j]]
         # frombuffer of bytes is read-only int64, and a table's symbols are
-        # in [0, ns): a Sequence around it, without the constructor's copy
-        seq = object.__new__(Sequence)
-        object.__setattr__(seq, "symbols", np.frombuffer(self.head_digits[h] + self.tail_digits[t], _INT64))
-        object.__setattr__(seq, "ns", self.ns)
-        return seq
+        # in [0, ns): wrapped as it is, without the constructor's copy
+        return _wrap(Sequence, np.frombuffer(self.head_digits[h] + self.tail_digits[t], _INT64), self.ns)
 
     def class_ranks(self) -> np.ndarray:
         """The class rank of every sequence, in lex order: ``O(ns**length)`` memory."""

@@ -81,6 +81,21 @@ class TestSequenceValidation:
         with pytest.raises(ValueError, match=rf"^{noun} out of range \[0, {ns}\)$"):
             make(values, ns)
 
+    @pytest.mark.parametrize("make,noun", [(Sequence, "symbol"), (DigitStream, "digit")])
+    @pytest.mark.parametrize("values", [[2**64], [-(2**63) - 1], [1, 2**64], [[2**64]]])
+    def test_integers_beyond_int64_are_out_of_range(self, make, noun, values):
+        # numpy keeps them as Python ints in an object array; an integer is
+        # never a type error, whatever its size
+        with pytest.raises(ValueError, match=rf"^{noun} out of range \[0, 3\)$"):
+            make(values, 3)
+
+    @pytest.mark.parametrize("make,field", [(Sequence, "symbols"), (DigitStream, "digits")])
+    def test_object_arrays_are_checked_by_their_values(self, make, field):
+        assert getattr(make(np.array([0, 2], dtype=object), 3), field).tolist() == [0, 2]
+        for values in ([0.5, 2**64], [True, 2**64], ["a", 2**64], np.array([0, 1.0], dtype=object)):
+            with pytest.raises(TypeError, match=rf"^{field} must be integers$"):
+                make(values, 3)
+
     @pytest.mark.parametrize("make,field", [(Sequence, "symbols"), (DigitStream, "digits")])
     def test_range_check_accepts_the_edges(self, make, field):
         for values, ns in (([0, 2], 3), (np.array([0, 2**63 - 2], dtype=np.uint64), 2**63 - 1)):

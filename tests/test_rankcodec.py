@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import inspect
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -19,8 +22,10 @@ from seqshape import (
     to_digits,
     transform_adaptive,
 )
-from seqshape import rankcodec
+from seqshape import entropy, oracle, rankcodec, shaping
 from seqshape.entropy import _trusted
+from seqshape.oracle import validate_strategy
+from seqshape.shaping import STRATEGIES, ShaperConfig
 
 from conftest import seq
 from reference_impl import ref_bubble_comparisons, ref_from_digits, ref_to_digits
@@ -507,8 +512,44 @@ def assert_as_if_checked(built, public, field):
     assert values.dtype == np.int64 and values.ndim == 1 and not values.flags.writeable
 
 
+def assert_behaves_as_public(built, public, field):
+    """``built`` is as :func:`assert_as_if_checked` says, and behaves as ``public`` in every protocol."""
+    assert_as_if_checked(built, public, field)
+    for again in (pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)):
+        assert type(again) is type(built) and again == built == public
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.ns = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(built, field, public)
+    with pytest.raises(TypeError):
+        hash(built)
+    assert repr(built) == repr(public)
+    size = built.__len__()
+    assert type(size) is int and size == getattr(built, field).size == len(public)
+
+
+def capture_from_digits(monkeypatch):
+    """The streams ``shaping`` hands to ``from_digits``, collected in a list as its calls run."""
+    streams = []
+
+    def spy(stream, state=None):
+        streams.append(stream)
+        return from_digits(stream, state)
+
+    monkeypatch.setattr(shaping, "from_digits", spy)
+    return streams
+
+
 class TestUncheckedOutputs:
-    """The codec's and the order's outputs skip the construction checks; nothing public does."""
+    """Every value the package builds itself skips the construction checks and behaves as a public one.
+
+    The codec's outputs, the streams the adaptive strategy passes between
+    them, the order tables' unranked sequences and the oracle's source
+    sequences are made by ``entropy._trusted`` or ``entropy._wrap``.  Each
+    must equal, pickle, copy, refuse assignment and hashing, print and
+    measure its length exactly as its publicly constructed twin; nothing
+    public takes the unchecked way.
+    """
 
     def test_public_construction_has_no_way_around_the_checks(self):
         assert list(inspect.signature(Sequence).parameters) == ["symbols", "ns"]
@@ -528,19 +569,119 @@ class TestUncheckedOutputs:
         decoded = from_digits(stream(symbols, ns))
         assert_as_if_checked(decoded, seq(decoded.symbols.tolist(), ns), "symbols")
 
+    @pytest.mark.parametrize("ns,length", [(3, 9), (40, MIN_LENGTH - 1), (40, MIN_LENGTH), (MAX_NS + 1, MIN_LENGTH)])
+    def test_encoded_streams_behave_as_public(self, vector_calls, ns, length):
+        # the short encode, the vector encoder, and the short encode again
+        # above the vector rule's alphabet bound
+        symbols = skewed(ns, length, ns + length)
+        digits = to_digits(seq(symbols, ns))
+        assert vector_calls == ([length] if length >= MIN_LENGTH and ns <= MAX_NS else [])
+        assert_behaves_as_public(digits, stream(ref_to_digits(symbols, ns), ns), "digits")
+
+    @pytest.mark.parametrize("length", [1, NUMPY_SYMBOLS - 1, NUMPY_SYMBOLS, 500])
+    def test_decoded_sequences_behave_as_public(self, length):
+        # symbols from a list comprehension below _NUMPY_SYMBOLS_MIN digits,
+        # from one numpy `%` from there on
+        ns = 5
+        digits = [(3 * i) % ns for i in range(length)]
+        decoded = from_digits(stream(digits, ns))
+        assert_behaves_as_public(decoded, seq(ref_from_digits(digits, ns), ns), "symbols")
+
+    @pytest.mark.parametrize("ns,length", [(3, 9), (40, 400)])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_adaptive_strategy_streams_behave_as_public(self, monkeypatch, ns, length, k):
+        # the padded stream of transform_adaptive and the sliced stream of
+        # inverse_adaptive, with the sequences each decodes to
+        streams = capture_from_digits(monkeypatch)
+        source = seq(skewed(ns, length, 7 * ns + length), ns)
+        shaped = transform_adaptive(source, k)
+        assert inverse_adaptive(shaped, k) == source
+        padded, sliced = streams
+        digits = list(ref_to_digits(source.symbols.tolist(), ns))
+        assert_behaves_as_public(padded, stream([0] * k + digits, ns), "digits")
+        assert_behaves_as_public(sliced, stream(digits, ns), "digits")
+        assert_behaves_as_public(shaped, seq(ref_from_digits([0] * k + digits, ns), ns), "symbols")
+
     @pytest.mark.parametrize("ns,length", [(2, 6), (3, 4), (5, 2)])
     def test_sequences_from_lex_indices_equal_checked_construction(self, ns, length):
         for symbols in itertools.product(range(ns), repeat=length):
-            assert_as_if_checked(_trusted(Sequence, symbols, ns), seq(symbols, ns), "symbols")
+            assert_behaves_as_public(_trusted(Sequence, symbols, ns), seq(symbols, ns), "symbols")
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_validated_sources_behave_as_public(self, monkeypatch, strategy):
+        # validate_strategy builds each source from an itertools.product tuple
+        sources = []
+
+        def spy(source, cfg):
+            sources.append(source)
+            return shaping.transform(source, cfg)
+
+        monkeypatch.setattr(oracle, "transform", spy)
+        assert validate_strategy(ShaperConfig(ns=3, strategy=strategy), 3, 3).ok
+        assert [tuple(source) for source in sources] == list(itertools.product(range(3), repeat=3))
+        for source in sources:
+            assert_behaves_as_public(source, seq(tuple(source), 3), "symbols")
 
     @pytest.mark.parametrize("ns,length", [(2, 6), (3, 4), (5, 2), (7, 1)])
     def test_unranked_sequences_equal_checked_construction(self, ns, length):
-        from seqshape import shaping
-
         tables = shaping._space_order(ns, length)
         for r in range(ns**length):
             unranked = tables.unrank(r)
-            assert_as_if_checked(unranked, seq(unranked.symbols.tolist(), ns), "symbols")
+            assert_behaves_as_public(unranked, seq(unranked.symbols.tolist(), ns), "symbols")
+
+
+class TestShapingRunsNoPublicCheck:
+    """Shaping passes build every value unchecked: no call reaches the public construction check.
+
+    A deterministic guard for the fast path.  Inputs are built before the
+    count starts.
+    """
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        check = entropy._check_symbols
+
+        def counted(values, ns, noun):
+            calls.append(noun)
+            return check(values, ns, noun)
+
+        for module in (entropy, rankcodec):
+            monkeypatch.setattr(module, "_check_symbols", counted)
+        return calls
+
+    def test_the_count_sees_public_construction(self, checks):
+        Sequence([0, 1], 2)
+        DigitStream([0, 1], 2)
+        assert checks == ["symbol", "digit"]
+
+    @pytest.mark.parametrize("ns,length", [(3, 9), (40, 400)])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_adaptive_passes(self, checks, ns, length, k):
+        cfg = ShaperConfig(ns=ns, k=k)
+        source = seq(skewed(ns, length, ns * length + k), ns)
+        off_image = seq([1] + source.symbols.tolist(), ns)
+        checks.clear()
+        shaped = shaping.transform(source, cfg)
+        assert shaping.inverse_transform(shaped, cfg) == source
+        with pytest.raises(shaping.NotInImageError):
+            shaping.inverse_transform(off_image, cfg)
+        assert checks == []
+
+    @pytest.mark.parametrize("ns,n", [(4, 5), (2, 9)])
+    def test_warm_exact_sorted_round_trips(self, checks, ns, n):
+        cfg = ShaperConfig(ns=ns, strategy=shaping.EXACT_SORTED)
+        sources = [seq(skewed(ns, n, seed), ns) for seed in range(20)]
+        shaping.transform(sources[0], cfg)  # the order builds
+        checks.clear()
+        for source in sources:
+            assert shaping.inverse_transform(shaping.transform(source, cfg), cfg) == source
+        assert checks == []
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_validate_strategy(self, checks, strategy):
+        assert validate_strategy(ShaperConfig(ns=3, strategy=strategy), 3, 4).ok
+        assert checks == []
 
 
 class TestDigitConcentration:
