@@ -37,10 +37,17 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _check_at_least(value, least: int, what: str) -> int:
+    """``value`` as an ``int``, refused unless it is an integer of at least ``least``."""
+    if type(value) is not int:  # an int, the common case, is checked on every warm call
+        value = _check_integer(value, what)
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
 def _check_ns(ns: int) -> int:
-    ns = _check_integer(ns, "alphabet size")
-    if ns < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {ns}")
+    ns = _check_at_least(ns, 2, "alphabet size")
     # symbols in [0, ns) are int64, and the rank codec sizes lists by ns
     if ns > (1 << 63) - 1:
         raise ValueError(f"alphabet size must be <= 2**63 - 1, got {ns}")
@@ -56,7 +63,10 @@ def _check_symbols(values, ns: int, noun: str) -> tuple[int, np.ndarray]:
     ns = _check_ns(ns)
     arr = np.asarray(values)
     if arr.size and arr.dtype.kind not in "iu":
-        if arr.dtype.kind != "O" or not all(map(_is_integer, arr.flat)):
+        if arr.dtype.kind != "O" and not isinstance(values, np.ndarray):
+            # numpy reads a list mixing int64-sized and larger ints as float64
+            arr = np.asarray(values, dtype=object)
+        if not all(map(_is_integer, arr.flat)):
             raise TypeError(f"{noun}s must be integers")
         # integers in an object array: numpy keeps those beyond int64 and
         # uint64 there, and no such integer lies in [0, ns)
@@ -93,6 +103,30 @@ _new = object.__new__
 _set = object.__setattr__
 
 
+class _Checked:
+    """The check, equality and pickling :class:`Sequence` and ``DigitStream`` share.
+
+    A subclass is a frozen dataclass of its values (the field ``_values``
+    names) and ``ns``; ``_noun`` names one value in the error messages.
+    ``pickle`` and ``copy`` rebuild a value through its public constructor.
+    """
+
+    def __post_init__(self):
+        ns, arr = _check_symbols(getattr(self, self._values), self.ns, self._noun)
+        _set(self, self._values, arr)
+        _set(self, "ns", ns)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.ns == other.ns and _same_int64(getattr(self, self._values), getattr(other, self._values))
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return type(self), (getattr(self, self._values), self.ns)
+
+
 def _wrap(cls, arr: np.ndarray, ns: int):
     """A ``cls`` (:class:`Sequence` or ``DigitStream``) around ``arr`` itself, skipping its checks.
 
@@ -101,7 +135,7 @@ def _wrap(cls, arr: np.ndarray, ns: int):
     checked: ``np.frombuffer`` of bytes, a slice of such an array, or what
     :func:`_trusted` makes.  It is stored without a copy, in the field the
     class names by ``_values``.  Public construction never comes here and
-    keeps every check.
+    keeps every check, as do a pickle and a copy of the result.
     """
     obj = _new(cls)
     _set(obj, cls._values, arr)
@@ -116,7 +150,7 @@ def _trusted(cls, values, ns: int):
     for an ``ns`` already checked: the rank codec's output, digit streams cut
     from it, and the oracle's tuples from ``itertools.product(range(ns))``.
     ``values`` must be a list, a tuple or an ``int64`` array no caller holds,
-    as an array is frozen in place, not copied.
+    as an array is frozen in place, not copied.  Pickle and copy check anew.
     """
     arr = np.asarray(values, _INT64)
     arr.setflags(write=False)
@@ -124,35 +158,24 @@ def _trusted(cls, values, ns: int):
 
 
 @dataclass(frozen=True, eq=False)
-class Sequence:
+class Sequence(_Checked):
     """An immutable sequence of symbols drawn from {0..ns-1}.
 
     ``symbols`` may be given as any integer iterable; it is stored as a
-    read-only int64 array.  Construction validates the symbol range.
+    read-only int64 array.  Construction validates the symbol range, and
+    pickle and copy go through construction.
     """
 
     symbols: np.ndarray
     ns: int
-    # the field that holds the values, for :func:`_wrap`
     _values = "symbols"
-
-    def __post_init__(self):
-        ns, arr = _check_symbols(self.symbols, self.ns, "symbol")
-        object.__setattr__(self, "symbols", arr)
-        object.__setattr__(self, "ns", ns)
+    _noun = "symbol"
 
     def __len__(self) -> int:
         return self.symbols.size
 
     def __iter__(self):
         return iter(self.symbols.tolist())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return self.ns == other.ns and _same_int64(self.symbols, other.symbols)
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         body = " ".join(map(str, self.symbols.tolist()[:16]))
@@ -162,7 +185,7 @@ class Sequence:
 
 @dataclass(frozen=True, eq=False)
 class Histogram:
-    """Per-symbol occurrence counts of one sequence plus its total length."""
+    """Per-symbol occurrence counts of one sequence plus its total length; pickle and copy construct anew."""
 
     counts: np.ndarray
     total: int
@@ -179,6 +202,9 @@ class Histogram:
         return self.total == other.total and _same_int64(self.counts, other.counts)
 
     __hash__ = None
+
+    def __reduce__(self):
+        return Histogram, (self.counts, self.total)
 
 
 def histogram(seq: Sequence) -> Histogram:

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .entropy import _check_integer, entropy_length_product
+from .entropy import _check_at_least, entropy_length_product
 # RoundTripError is defined in shaping, which every sst command loads, and is
 # exported from here
 from .shaping import RoundTripError, ShaperConfig, inverse_transform, transform
@@ -103,13 +103,7 @@ def _run_trial(spec: SourceSpec, cfg: ShaperConfig, seed: int, trial: int) -> Tr
 
 
 def _check_counts(trials: int, workers: int) -> tuple[int, int]:
-    trials = _check_integer(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    workers = _check_integer(workers, "workers")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return trials, workers
+    return _check_at_least(trials, 1, "trials"), _check_at_least(workers, 1, "workers")
 
 
 # the pool a Table-1 sweep opens for all its rows, set only while it runs; a

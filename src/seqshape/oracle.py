@@ -19,7 +19,7 @@ from itertools import accumulate, islice, product
 import numpy as np
 
 from . import shaping
-from .entropy import Sequence, _check_integer, _check_ns, _trusted
+from .entropy import Sequence, _check_at_least, _check_ns, _trusted
 from .shaping import (
     DEFAULT_MAX_SPACE,
     EXACT_SORTED,
@@ -93,9 +93,7 @@ class ValidationReport:
 
 def space_descriptor(ns: int, length: int, max_space: int = DEFAULT_MAX_SPACE) -> SpaceDescriptor:
     ns = _check_ns(ns)
-    length = _check_integer(length, "length")
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
+    length = _check_at_least(length, 1, "length")
     return SpaceDescriptor(ns=ns, length=length, size=shaping._check_space(ns, length, max_space))
 
 

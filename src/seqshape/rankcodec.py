@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import Sequence, _check_integer, _check_ns, _check_symbols, _same_int64, _trusted
+from .entropy import Sequence, _Checked, _check_integer, _check_ns, _trusted
 
 __all__ = [
     "DigitStream",
@@ -65,28 +65,16 @@ _NUMPY_SYMBOLS_MIN = 32
 
 
 @dataclass(frozen=True, eq=False)
-class DigitStream:
-    """Rank digits in [0, ns), one per encoded position."""
+class DigitStream(_Checked):
+    """Rank digits in [0, ns), one per encoded position; checked, stored and pickled as a ``Sequence``."""
 
     digits: np.ndarray
     ns: int
-    # the field that holds the values, for ``entropy._wrap``
     _values = "digits"
-
-    def __post_init__(self):
-        ns, arr = _check_symbols(self.digits, self.ns, "digit")
-        object.__setattr__(self, "digits", arr)
-        object.__setattr__(self, "ns", ns)
+    _noun = "digit"
 
     def __len__(self) -> int:
         return self.digits.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DigitStream):
-            return NotImplemented
-        return self.ns == other.ns and _same_int64(self.digits, other.digits)
-
-    __hash__ = None
 
 
 def _identity_keys(ns: int) -> list:

@@ -13,8 +13,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TextIO
 
-import numpy as np
-
 from .entropy import Sequence, _check_ns
 
 __all__ = ["read_sequence", "write_sequence", "parse_sequence", "format_sequence"]
@@ -44,11 +42,7 @@ def parse_sequence(text: str) -> Sequence:
         raise ValueError("no symbols on line 2")
     if not all(map(_decimal, tokens)):
         raise ValueError("symbols must be non-negative decimal integers")
-    symbols = [int(t) for t in tokens]
-    # checked before the int64 conversion, which overflows beyond 2**63 - 1
-    if max(symbols) >= ns:
-        raise ValueError(f"symbol out of range [0, {ns})")
-    return Sequence(symbols=np.array(symbols, dtype=np.int64), ns=ns)
+    return Sequence(symbols=[int(t) for t in tokens], ns=ns)
 
 
 def format_sequence(seq: Sequence) -> str:

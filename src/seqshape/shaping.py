@@ -42,6 +42,7 @@ import numpy as np
 from .entropy import (
     _INT64,
     Sequence,
+    _check_at_least,
     _check_integer,
     _check_ns,
     _trusted,
@@ -136,10 +137,7 @@ class ShapingOutcome:
 
 
 def _check_k(k: int) -> int:
-    k = _check_integer(k, "shaping order")
-    if k < 1:
-        raise ValueError(f"shaping order must be >= 1, got {k}")
-    return k
+    return _check_at_least(k, 1, "shaping order")
 
 
 def transform_adaptive(seq: Sequence, k: int = 1) -> Sequence:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import Sequence, _check_integer, _check_ns
+from .entropy import Sequence, _check_at_least, _check_integer, _check_ns
 
 __all__ = ["SourceSpec", "probabilities", "trial_rng", "sample"]
 
@@ -31,9 +31,7 @@ class SourceSpec:
         # the checked Python ints are stored, so a spec given numpy integers
         # still exports to JSON
         object.__setattr__(self, "ns", _check_ns(self.ns))
-        object.__setattr__(self, "n", _check_integer(self.n, "sequence length"))
-        if self.n < 1:
-            raise ValueError(f"sequence length must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _check_at_least(self.n, 1, "sequence length"))
         if not 0.0 < self.pmax < 1.0:
             raise ValueError(f"pmax must lie strictly inside (0, 1), got {self.pmax}")
 
@@ -54,9 +52,7 @@ def _check_master_seed(seed: int) -> int:
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Deterministic PCG64 substream for one (master seed, trial index) pair."""
-    trial = _check_integer(trial, "trial index")
-    if trial < 0:
-        raise ValueError(f"trial index must be >= 0, got {trial}")
+    trial = _check_at_least(trial, 0, "trial index")
     return np.random.default_rng(np.random.SeedSequence([_check_master_seed(seed), trial]))
 
 

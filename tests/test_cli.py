@@ -62,6 +62,14 @@ class TestTransformInvert:
         assert capsys.readouterr().err == f"error: {src}: symbol out of range [0, 3)\n"
 
     @pytest.mark.parametrize("command", ["transform", "invert"])
+    @pytest.mark.parametrize("symbol", [2**63, 2**64 - 1, 2**64])
+    def test_symbol_just_beyond_int64_exit_2(self, tmp_path, capsys, command, symbol):
+        # beside a small int, numpy reads 2**63 and 2**64 - 1 as float64
+        src = write_seq_file(tmp_path, "in.txt", 3, [1, symbol])
+        assert main([command, "--in", str(src)]) == 2
+        assert capsys.readouterr().err == f"error: {src}: symbol out of range [0, 3)\n"
+
+    @pytest.mark.parametrize("command", ["transform", "invert"])
     @pytest.mark.parametrize("ns", [2**63, 99999999999999999999])
     def test_alphabet_beyond_int64_exit_2(self, tmp_path, capsys, command, ns):
         src = write_seq_file(tmp_path, "in.txt", ns, [0, 1])

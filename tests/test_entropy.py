@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,11 +11,21 @@ from seqshape import (
     DigitStream,
     Histogram,
     Sequence,
+    ShaperConfig,
+    SourceSpec,
     entropy_length_product,
     entropy_length_product_from_counts,
+    from_digits,
     histogram,
     info_from_sorted_counts,
+    run_experiment,
+    shaping,
+    space_descriptor,
+    to_digits,
+    transform_adaptive,
 )
+from seqshape.entropy import _trusted
+from seqshape.sources import trial_rng
 
 from conftest import seq
 from reference_impl import ref_info_positional
@@ -104,6 +116,22 @@ class TestSequenceValidation:
         for values in ([], np.array([], dtype=np.uint64), np.array([], dtype=np.float64)):
             assert len(make(values, 3)) == 0
 
+    @pytest.mark.parametrize("make,noun", [(Sequence, "symbol"), (DigitStream, "digit")])
+    @pytest.mark.parametrize("values", [[1, 2**63], [0, 2**64 - 1], [-1, 2**63], [2**63, 0, 1]])
+    def test_lists_mixing_int64_and_larger_ints_are_out_of_range(self, make, noun, values):
+        # numpy reads these lists as float64, not as an object array: they
+        # are read again as objects, and each is an integer out of range
+        assert np.asarray(values).dtype == np.float64
+        with pytest.raises(ValueError, match=rf"^{noun} out of range \[0, 3\)$"):
+            make(values, 3)
+
+    @pytest.mark.parametrize("make,field", [(Sequence, "symbols"), (DigitStream, "digits")])
+    def test_values_must_be_one_dimensional(self, make, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be one-dimensional, got shape \(1, 2\)$"):
+            make([[0, 1]], 3)
+        with pytest.raises(ValueError, match=rf"^{field} must be one-dimensional, got shape \(\)$"):
+            make(np.int64(1), 3)
+
     def test_ns_too_small(self):
         with pytest.raises(ValueError):
             seq([0], 1)
@@ -166,6 +194,99 @@ class TestValueEquality:
         assert value.__eq__(np.array([0, 1])) is NotImplemented
 
 
+# each value type with the field that holds its int64 array
+VALUE_FIELDS = [(seq, "symbols"), (digit_stream, "digits"), (histogram_of, "counts")]
+
+
+def pickled_and_copied(value):
+    """``value`` through pickle at every protocol, ``copy.copy`` and ``copy.deepcopy``."""
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    return [*(pickle.loads(pickle.dumps(value, p)) for p in protocols), copy.copy(value), copy.deepcopy(value)]
+
+
+def assert_rebuilt_read_only(value, field):
+    """Every pickle and copy of ``value`` equals it and holds a read-only int64 array."""
+    for again in pickled_and_copied(value):
+        assert type(again) is type(value) and again == value
+        values = getattr(again, field)
+        assert values.dtype == np.int64 and values.ndim == 1 and not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 7
+
+
+class TestPickleAndCopy:
+    """Pickle and copy rebuild every value through its public constructor, checks included."""
+
+    @pytest.mark.parametrize("make,field", VALUE_FIELDS)
+    @pytest.mark.parametrize("length", [1, 9, 5000])
+    def test_public_values(self, make, field, length):
+        assert_rebuilt_read_only(make(np.arange(length) % 3, 3), field)
+
+    def test_package_built_values(self):
+        source = seq([2, 0, 1, 1, 0, 2, 2, 2, 1], 3)
+        digits = to_digits(source)
+        built = [
+            (digits, "digits"),
+            (from_digits(digits), "symbols"),
+            (transform_adaptive(source, 2), "symbols"),
+            (shaping._space_order(3, 4).unrank(40), "symbols"),
+            (_trusted(Sequence, (0, 2, 1), 3), "symbols"),
+            (_trusted(DigitStream, [1, 0], 3), "digits"),
+            (histogram(source), "counts"),
+        ]
+        for value, field in built:
+            assert not getattr(value, field).flags.writeable
+            assert_rebuilt_read_only(value, field)
+
+    @pytest.mark.parametrize("cls,noun", [(Sequence, "symbol"), (DigitStream, "digit")])
+    def test_an_unchecked_value_is_refused_when_rebuilt(self, cls, noun):
+        # _trusted skips the checks: what a tampered pickle would hold
+        bad = _trusted(cls, [0, 7], 3)
+        data = pickle.dumps(bad)
+        with pytest.raises(ValueError, match=rf"^{noun} out of range \[0, 3\)$"):
+            pickle.loads(data)
+        for rebuild in (copy.copy, copy.deepcopy):
+            with pytest.raises(ValueError, match=rf"^{noun} out of range \[0, 3\)$"):
+                rebuild(bad)
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_an_edited_pickle_is_refused_on_load(self, protocol):
+        # from protocol 2 on the pickle holds the array's raw bytes: set its
+        # 2 to a 7 there
+        data = pickle.dumps(seq([0, 2], 3), protocol)
+        values = np.array([0, 2], dtype=np.int64).tobytes()
+        assert data.count(values) == 1
+        edited = data.replace(values, np.array([0, 7], dtype=np.int64).tobytes())
+        with pytest.raises(ValueError, match=r"^symbol out of range \[0, 3\)$"):
+            pickle.loads(edited)
+
+
+class TestLowerBounds:
+    """The seven integer lower bounds share one rule and its message."""
+
+    # a call refusing ``value``, and the least value it accepts
+    CASES = {
+        "alphabet size": (lambda v: Sequence([0], v), 2),
+        "shaping order": (lambda v: ShaperConfig(ns=3, k=v), 1),
+        "trials": (lambda v: run_experiment(SourceSpec(3, 4, 0.5), ShaperConfig(ns=3), v, 1), 1),
+        "workers": (lambda v: run_experiment(SourceSpec(3, 4, 0.5), ShaperConfig(ns=3), 1, 1, v), 1),
+        "sequence length": (lambda v: SourceSpec(ns=3, n=v, pmax=0.5), 1),
+        "length": (lambda v: space_descriptor(3, v), 1),
+        "trial index": (lambda v: trial_rng(1, v), 0),
+    }
+
+    @pytest.mark.parametrize("what", CASES)
+    def test_refusal_message(self, what):
+        call, least = self.CASES[what]
+        for below in (least - 1, np.int64(least - 1), least - 2**70):
+            with pytest.raises(ValueError, match=rf"^{what} must be >= {least}, got {int(below)}$"):
+                call(below)
+        with pytest.raises(TypeError, match=rf"^{what} must be an integer, got True$"):
+            call(True)
+        call(least)
+        call(np.int32(least))
+
+
 class TestEntropyLengthProduct:
     def test_constant_is_zero(self):
         value = entropy_length_product(seq([0, 0, 0, 0], 3))
@@ -182,6 +303,10 @@ class TestEntropyLengthProduct:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             entropy_length_product(seq([], 2))
+
+    def test_empty_histogram_rejected(self):
+        with pytest.raises(ValueError, match=r"^information content of an empty histogram is undefined$"):
+            entropy_length_product_from_counts(Histogram(counts=[0, 0], total=0))
 
     def test_cost_follows_the_sequence_not_the_alphabet(self):
         # a bincount the length of the declared alphabet would be 2^62 entries

@@ -42,6 +42,17 @@ class TestFormat:
         with pytest.raises(ValueError):
             parse_sequence("ns 3\n0 3\n")
 
+    @pytest.mark.parametrize("symbols", ["0 3", "1 9223372036854775808", "1 18446744073709551615", "1 18446744073709551616"])
+    def test_symbols_out_of_alphabet_are_refused_by_the_sequence(self, symbols):
+        # the file's ints go to Sequence as they are: its one check refuses
+        # them, beyond int64 and uint64 too
+        with pytest.raises(ValueError, match=r"^symbol out of range \[0, 3\)$"):
+            parse_sequence(f"ns 3\n{symbols}\n")
+
+    def test_blank_symbol_line(self):
+        with pytest.raises(ValueError, match=r"^no symbols on line 2$"):
+            parse_sequence("ns 3\n \t \n")
+
     def test_header_alphabet_too_small(self):
         with pytest.raises(ValueError):
             parse_sequence("ns 1\n0\n")

@@ -328,6 +328,15 @@ class TestExactSortedTransform:
         with pytest.raises(NotInImageError, match="not in image"):
             inverse_exact_sorted(seq([0, 1, 2], 3))
 
+    def test_empty_source_refused(self):
+        with pytest.raises(ValueError, match=r"^cannot shape an empty sequence$"):
+            transform_exact_sorted(seq([], 3))
+
+    @pytest.mark.parametrize("length", [0, 1, 2])
+    def test_shaped_sequence_not_longer_than_k_refused(self, length):
+        with pytest.raises(ValueError, match=rf"^shaped sequence must be longer than k=2, got length {length}$"):
+            inverse_exact_sorted(seq([0] * length, 3), 2)
+
     def test_space_too_large(self):
         with pytest.raises(SpaceTooLargeError):
             transform_exact_sorted(seq([0] * 40, 3))
