@@ -23,11 +23,14 @@ on its type class, a partition of the length into at most ``ns`` parts, and
 its class only on the multisets of its head (first symbols) and its tail.
 So per head multiset, tables give each tail's class and its place among the
 tails ordered by class, then lex; per class and head, a table gives where
-that head's sequences of that class start.  A build names each head's and
-tail's multiset by sorting the symbols of every head and every tail once.
-A later call looks its source's head and tail up by their bytes, reads a
-few table entries, and joins the bytes of the target's head and tail into
-the symbols it returns.
+that head's sequences of that class start.  A build names each width's
+multisets by sorting the symbols of every sequence of that width once, and
+keeps them with the width's digit rows in a small cache, so the heads and
+tails of a transform's two tables share each width's arrays and build each
+width once.  It ranks each class key (a merged row's change positions) once,
+a batch's new keys together in one numpy pass.  A later call looks its
+source's head and tail up by their bytes, reads a few table entries, and
+joins the bytes of the target's head and tail into the symbols it returns.
 """
 from __future__ import annotations
 
@@ -383,34 +386,64 @@ def _digit_rows(ns: int, width: int) -> list[bytes]:
     return _lex_digits(ns, width).view(f"V{8 * width}").ravel().tolist()
 
 
+# the two tables of one (n, n+k) pair have at most four side widths
+@lru_cache(maxsize=4)
+def _side(ns: int, width: int) -> tuple[np.ndarray, np.ndarray, list[bytes]]:
+    """The multisets and ids (:func:`_multisets`, read-only) and the digit rows (:func:`_digit_rows`) of one width.
+
+    Every head and tail of this width, in either table of a transform, shares
+    these objects.  ``_space_order.cache_clear()`` empties this cache too.
+    """
+    sets, ids = _multisets(ns, width)
+    sets.setflags(write=False)
+    ids.setflags(write=False)
+    return sets, ids, _digit_rows(ns, width)
+
+
+def _key_ranks(keys: list[int], length: int, padded: dict[tuple[int, ...], int]) -> list[int]:
+    """The class rank of each change-position key of a sorted ``length``-symbol row.
+
+    Bit ``j`` of a key is set when the row's symbol changes after position
+    ``j``, so the cumulative sums of its bits number its runs, and one count
+    of every key's run numbers gives each key's run lengths, zero-padded to
+    ``length``.  Sorted, they are the key of ``padded``, the class ranks of
+    :func:`_type_classes` keyed by their counts zero-padded to ``length``.
+    """
+    rows = len(keys)
+    runs = np.zeros((rows, length), dtype=np.int64)
+    np.cumsum(np.array(keys, dtype=np.int64)[:, None] >> np.arange(length - 1) & 1, axis=1, out=runs[:, 1:])
+    runs += np.arange(0, rows * length, length)[:, None]
+    lengths = np.bincount(runs.ravel(), minlength=rows * length).reshape(rows, length)
+    lengths.sort(axis=1)
+    return list(map(padded.__getitem__, map(tuple, lengths.tolist())))
+
+
 # every caller uses one (n, n+k) pair at a time
 @lru_cache(maxsize=2)
 def _space_order(ns: int, length: int) -> _Tables:
     """The tables (see :class:`_Tables`) of the (info, lex) total order on all sequences.
 
-    :func:`_split` picks the head width, or refuses a build that cannot fit,
-    and the heads and tails are grouped by multiset (:func:`_multisets`, one
-    sort of every head's or tail's symbols).
+    :func:`_split` picks the head width, or refuses a build that cannot fit.
+    Each side width's multisets (:func:`_multisets`, one sort of every
+    sequence's symbols) and digit rows (:func:`_digit_rows`, each sequence's
+    symbols as bytes) come from :func:`_side`, built once per width and
+    shared by both sides and by both tables of a transform.
     Per batch of head multisets (up to ``_STEP`` merged symbols and table
     entries), each is merged into each distinct tail multiset: a sorted
-    row's change positions form a ``length - 1`` bit key, its runs are its
-    class, and each key is ranked once per build.  The ranks are gathered
-    by each tail's multiset into ``cls``, argsorted row by row into
+    row's change positions form a ``length - 1`` bit key, and its runs are
+    its class.  Each distinct key is ranked once per build; a batch's keys
+    not seen before are ranked together (:func:`_key_ranks`).  The ranks are
+    gathered by each tail's multiset into ``cls``, argsorted row by row into
     ``tails`` and ``pos`` and counted by class; cumulative sums of the
-    counts give ``base`` and ``start``.  Each head's and tail's symbols are
-    kept as bytes (:func:`_digit_rows`), one view of one digit matrix per
-    side.  Requires ``length >= 1``.
+    counts give ``base`` and ``start``.  Requires ``length >= 1``.
     """
     class_rank, values, _ = _type_classes(ns, length)
     head = _split(ns, length, len(values))
-    tail_sets, tid = _multisets(ns, length - head)
-    head_sets, hid = _multisets(ns, head)
+    tail_sets, tid, tail_digits = _side(ns, length - head)
+    head_sets, hid, head_digits = _side(ns, head)
     bits = 1 << np.arange(length - 1, dtype=np.int64)
-
-    @lru_cache(maxsize=None)
-    def rank(key: int) -> int:
-        ends = [j + 1 for j in range(length - 1) if key >> j & 1] + [length]
-        return class_rank[tuple(sorted(b - a for a, b in zip([0, *ends], ends)))]
+    padded = {(0,) * (length - len(c)) + c: r for c, r in class_rank.items()}
+    known: dict[int, int] = {}
 
     rows, width, classes = len(head_sets), tid.size, len(values)
     cls = np.empty(rows * width, dtype=np.min_scalar_type(classes - 1))
@@ -435,7 +468,10 @@ def _space_order(ns: int, length: int) -> _Tables:
         merged = np.sort(np.concatenate([shifted_tails[: n * tail_sets.size], shifted_heads]), kind="stable")
         np.not_equal(merged[1:], merged[:-1], out=changed[: merged.size - 1], casting="unsafe")
         keys, inverse = np.unique(changed[: merged.size].reshape(-1, length)[:, :-1] @ bits, return_inverse=True)
-        ranks = np.array([rank(key) for key in keys.tolist()], dtype=cls.dtype)[inverse].reshape(n, -1)
+        keys = keys.tolist()
+        if new := [key for key in keys if key not in known]:
+            known.update(zip(new, _key_ranks(new, length, padded)))
+        ranks = np.fromiter(map(known.__getitem__, keys), cls.dtype, len(keys))[inverse].reshape(n, -1)
         block = np.take(ranks, tid, axis=1, out=cls[at].reshape(n, width))
         sort = np.argsort(block, axis=1, kind="stable")
         tails[at] = sort.ravel()
@@ -450,7 +486,19 @@ def _space_order(ns: int, length: int) -> _Tables:
     for array in (cls, tails, pos, base, start):
         array.setflags(write=False)
     views = (memoryview(array) for array in (cls, tails, pos, base, start))
-    return _Tables(ns, width, (hid * width).tolist(), *views, _digit_rows(ns, head), _digit_rows(ns, length - head))
+    return _Tables(ns, width, (hid * width).tolist(), *views, head_digits, tail_digits)
+
+
+_clear_orders = _space_order.cache_clear
+
+
+def _clear_space_orders() -> None:
+    """Empty the order cache and the width cache, so the next build is as cold as a fresh process's."""
+    _clear_orders()
+    _side.cache_clear()
+
+
+_space_order.cache_clear = _clear_space_orders
 
 
 def _rerank(seq: Sequence, n: int, length: int, max_space: int) -> Sequence:

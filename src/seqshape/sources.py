@@ -32,6 +32,10 @@ class SourceSpec:
         # still exports to JSON
         object.__setattr__(self, "ns", _check_ns(self.ns))
         object.__setattr__(self, "n", _check_at_least(self.n, 1, "sequence length"))
+        # kept as given, so a float32 pmax samples and exports its own bits;
+        # any other type fails later in the arithmetic or the export
+        if isinstance(self.pmax, bool) or not isinstance(self.pmax, (int, float, np.integer, np.floating)):
+            raise TypeError(f"pmax must be a real number, got {self.pmax!r}")
         if not 0.0 < self.pmax < 1.0:
             raise ValueError(f"pmax must lie strictly inside (0, 1), got {self.pmax}")
 

@@ -251,6 +251,26 @@ def test_criterion_6_frozen_table1_records():
     )
 
 
+# run_experiment(SourceSpec(ns=4, n=9, pmax=0.5), exact-sorted at k=1, 300
+# trials, seed 1): medinfc, medtinfc and mdife as float.hex, and cs2. Every
+# trial shapes through the (4, 9) and (4, 10) orders, so a change to how
+# their tables are built that moves one rank fails here
+FROZEN_EXACT_SORTED_ROW = ("0x1.c0f492cc5f81fp+3", "0x1.b377b9d3443cdp+3", "0x1.af9b1f2368a95p-2", 202)
+
+
+def test_criterion_6_frozen_exact_sorted_summary():
+    summary, records = run_experiment(
+        SourceSpec(ns=4, n=9, pmax=0.5), ShaperConfig(ns=4, strategy=EXACT_SORTED, k=1), 300, 1
+    )
+    row = (summary.medinfc.hex(), summary.medtinfc.hex(), summary.mdife.hex(), summary.cs2)
+    _report(
+        6,
+        "exact-sorted summary bit-identical to the frozen values",
+        row == FROZEN_EXACT_SORTED_ROW and all(r.roundtrip_ok for r in records),
+        f"mdife={summary.mdife:.6f} cs2={summary.cs2}",
+    )
+
+
 def test_criterion_7_reference_grid_status():
     cfg = ShaperConfig(ns=2)
     sweep_a = sweep_table1(cfg, trials=1000, seed=101)

@@ -682,6 +682,94 @@ class TestDigitRows:
             assert np.array_equal(digits, expected), (ns, width)
 
 
+TABLE_FIELDS = ("cls", "tails", "pos", "base", "start")
+
+
+def table_sides(tables):
+    """A table's head and tail digit-row lists, each keyed by its width."""
+    return [(len(rows[0]) // 8, rows) for rows in (tables.head_digits, tables.tail_digits)]
+
+
+class TestWidthCache:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The widths each side helper is called with, after an emptied order cache."""
+        calls = {"_multisets": [], "_digit_rows": []}
+        for name, widths in calls.items():
+            original = getattr(shaping, name)
+
+            def counted(ns, width, original=original, widths=widths):
+                widths.append(width)
+                return original(ns, width)
+
+            monkeypatch.setattr(shaping, name, counted)
+        shaping._space_order.cache_clear()
+        yield calls
+        shaping._space_order.cache_clear()
+
+    # (4, 9) -> (4, 10) has sides 4, 5 then 5, 5 and (2, 19) -> (2, 20) has
+    # 10, 9 then 10, 10: one build per distinct width, where one per side
+    # and table made four
+    @pytest.mark.parametrize("ns,n", [(4, 9), (2, 19)])
+    def test_first_transform_builds_each_width_once(self, calls, ns, n):
+        source = seq(np.arange(n) % ns, ns)
+        transform_exact_sorted(source)
+        widths = sorted(calls["_multisets"])
+        assert len(widths) == 2 and len(set(widths)) == 2
+        assert sorted(calls["_digit_rows"]) == widths
+        # a warm call builds nothing
+        assert inverse_exact_sorted(transform_exact_sorted(source)) == source
+        assert sorted(calls["_multisets"]) == sorted(calls["_digit_rows"]) == widths
+        # emptying the order cache empties the width cache: the next build is cold
+        shaping._space_order.cache_clear()
+        transform_exact_sorted(source)
+        assert sorted(calls["_multisets"]) == sorted(calls["_digit_rows"]) == sorted(widths * 2)
+
+    @pytest.mark.parametrize("ns,n,k", [(4, 9, 1), (2, 19, 1), (3, 8, 3)])
+    def test_table_on_a_warm_width_cache_equals_a_cold_build(self, calls, ns, n, k):
+        source = shaping._space_order(ns, n)
+        warm = shaping._space_order(ns, n + k)
+        # every side of a width holds the one list built for that width
+        sides = table_sides(source) + table_sides(warm)
+        assert all(a is b for (w, a), (v, b) in itertools.combinations(sides, 2) if w == v)
+        assert sorted(calls["_multisets"]) == sorted({w for w, _ in sides})
+        shaping._space_order.cache_clear()
+        cold = shaping._space_order.__wrapped__(ns, n + k)
+        assert warm.ns == cold.ns and warm.tail_size == cold.tail_size and warm.rows == cold.rows
+        for field in TABLE_FIELDS:
+            assert getattr(warm, field).tobytes() == getattr(cold, field).tobytes(), field
+        assert warm.head_digits == cold.head_digits and warm.tail_digits == cold.tail_digits
+
+    def test_cached_multisets_are_read_only(self, calls):
+        shaping._space_order(3, 8)
+        sets, ids, _ = shaping._side(3, 4)
+        assert not sets.flags.writeable and not ids.flags.writeable
+
+
+def old_key_rank(key, length, class_rank):
+    """A change-position key's class rank by the per-key formula: its runs, sorted, looked up."""
+    ends = [j + 1 for j in range(length - 1) if key >> j & 1] + [length]
+    return class_rank[tuple(sorted(b - a for a, b in zip([0, *ends], ends)))]
+
+
+class TestKeyRanks:
+    # a key with b set bits has b + 1 runs, so a class of at most ns parts
+    # has at most min(ns, length) - 1 set bits: every such key of each shape
+    @pytest.mark.parametrize("ns,length", [(2, 24), (3, 15), (4, 12), (5, 10), (16, 6), (256, 3), (4096, 2)])
+    def test_match_the_per_key_formula(self, ns, length):
+        class_rank, _, _ = shaping._type_classes(ns, length)
+        padded = {(0,) * (length - len(c)) + c: r for c, r in class_rank.items()}
+        keys = [
+            sum(1 << j for j in bits)
+            for b in range(min(ns, length))
+            for bits in itertools.combinations(range(length - 1), b)
+        ]
+        assert shaping._key_ranks(keys, length, padded) == [old_key_rank(key, length, class_rank) for key in keys]
+
+    def test_length_one_has_one_key(self):
+        assert shaping._key_ranks([0], 1, {(1,): 0}) == [0]
+
+
 class TestDispatchAndConfig:
     def test_strategy_dispatch(self):
         s = seq([2, 2], 3)

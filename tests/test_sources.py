@@ -1,3 +1,6 @@
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -15,6 +18,29 @@ class TestSourceSpec:
             SourceSpec(ns=3, n=10, pmax=0.0)
         with pytest.raises(ValueError):
             SourceSpec(ns=3, n=10, pmax=1.0)
+
+    # each was accepted, then failed in sample or export with a message
+    # that does not name pmax; "0.5" failed in the range check's comparison
+    @pytest.mark.parametrize(
+        "pmax",
+        [Decimal("0.5"), np.array([0.5]), np.array(0.5), Fraction(1, 2), "0.5", True, np.bool_(True), None, 0.5j],
+        ids=repr,
+    )
+    def test_pmax_must_be_a_real_number(self, pmax):
+        with pytest.raises(TypeError, match=r"^pmax must be a real number, got "):
+            SourceSpec(ns=3, n=10, pmax=pmax)
+
+    # stored as given: a float32 pmax keeps the bits it samples and exports
+    @pytest.mark.parametrize("pmax", [0.5, np.float64(0.5), np.float32(0.3), np.float16(0.25)])
+    def test_real_pmax_is_kept_as_given(self, pmax):
+        spec = SourceSpec(ns=3, n=10, pmax=pmax)
+        assert type(spec.pmax) is type(pmax) and spec.pmax == pmax
+        assert len(sample(spec, 0, 0)) == 10
+
+    @pytest.mark.parametrize("pmax", [0, 1, np.int64(1), float("nan"), np.float32("inf")])
+    def test_real_pmax_outside_the_open_interval(self, pmax):
+        with pytest.raises(ValueError, match=r"^pmax must lie strictly inside \(0, 1\)"):
+            SourceSpec(ns=3, n=10, pmax=pmax)
 
     @pytest.mark.parametrize("ns", [2, 3, 30, 40, 50, 60])
     @pytest.mark.parametrize("pmax", [0.1, 0.5, 0.9])
