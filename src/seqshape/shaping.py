@@ -82,8 +82,10 @@ STRATEGIES = (ADAPTIVE_RANK, EXACT_SORTED)
 # oracle is computed, unless ``max_space`` (``--max-space``) says otherwise: it
 # keeps a first call's order build in the comfortably-interactive range
 DEFAULT_MAX_SPACE = 1 << 24
-# how the messages about a bad bound name it
+# how the messages about a bad bound name it; one space of two sequences is
+# the least any shaping or report needs
 _BOUND = "max_space (the largest space tabulated or reported)"
+_BOUND_BELOW_2 = f"{_BOUND} must be >= 2"
 # lex indices and their place values are int64
 _MAX_LEX_INDEX = np.iinfo(np.int64).max
 # symbols merged, and table entries written, per batch of an order build:
@@ -125,7 +127,7 @@ class ShaperConfig:
         object.__setattr__(self, "k", _check_k(self.k))
         object.__setattr__(self, "max_space", _check_integer(self.max_space, _BOUND))
         if self.max_space < 2:
-            raise ValueError(f"{_BOUND} must be >= 2")
+            raise ValueError(_BOUND_BELOW_2)
 
 
 @dataclass(frozen=True)
@@ -194,6 +196,8 @@ def _check_space(ns: int, length: int, max_space: int) -> int:
 # never cached and raises again on the next call
 @lru_cache(maxsize=64)
 def _space_size(ns: int, length: int, max_space: int) -> int:
+    if max_space < 2:
+        raise ValueError(_BOUND_BELOW_2)
     # ns >= 2, so 64 or more symbols are 2**64 or more sequences: refused
     # before the power, which alone can take seconds; below 64 symbols it has
     # at most 63 * 63 bits
@@ -244,16 +248,37 @@ def _index_dtype(size: int) -> type:
     return np.int32 if size - 1 <= np.iinfo(np.int32).max else np.int64
 
 
-def _partitions(total: int, parts: int, largest: int):
-    """The partitions of ``total`` into at most ``parts`` parts of at most ``largest``, parts descending."""
-    if total == 0:
-        yield ()
-        return
-    if parts == 0:
-        return
-    for first in range(min(total, largest), 0, -1):
-        for rest in _partitions(total - first, parts - 1, first):
-            yield (first, *rest)
+def _classes(total: int, labels: int, largest: int, count: int, run: int, placed: tuple[int, ...]):
+    """Each partition of ``total`` that extends ``placed``, with its number of sequences.
+
+    Yields ``(counts, sequences)`` for each partition of ``total`` into at
+    most ``labels`` parts of at most ``largest``: ``counts`` is its parts and
+    then ``placed``, ascending, and the partitions come largest first part
+    first, in lex order of their parts read descending.  A first part below
+    ``ceil(total / labels)`` would leave more than the other parts can hold,
+    so it is never tried, and every call yields a partition.
+
+    ``count`` is carried down.  A part ``p`` of the ``total`` symbols left
+    multiplies it by ``comb(total, p)``, the places of its symbols, and by
+    ``labels``, the symbols not yet given a part, and divides it by its place
+    in its run of equal parts (``run`` is the run that ``largest`` ends, 0 at
+    the root), so that equal parts are labelled once.  A partition of ``m``
+    parts, ``mult_j`` of them equal to ``j``, so carries ``length!/prod p_i!``
+    sequences for each of its ``ns!/((ns-m)! prod mult_j!)`` labellings, and
+    each quotient is exact: the sequences of the parts placed so far.  The
+    ``comb`` steps from one sibling to the next by one multiply and one
+    divide.
+    """
+    top = min(total, largest)
+    ways = math.comb(total, top)
+    for part in range(top, -(-total // labels) - 1, -1):
+        run_here = run + 1 if part == largest else 1
+        here = count * ways * labels // run_here
+        if part == total:
+            yield (part, *placed), here
+        else:
+            yield from _classes(total - part, labels - 1, part, here, run_here, (part, *placed))
+        ways = ways * part // (total - part + 1)
 
 
 def _type_classes(ns: int, length: int) -> tuple[dict[tuple[int, ...], int], list[float], list[int]]:
@@ -262,18 +287,16 @@ def _type_classes(ns: int, length: int) -> tuple[dict[tuple[int, ...], int], lis
     A class is a partition of ``length`` into at most ``ns`` parts, written
     as its counts ascending.  Returns each class's rank among the distinct
     values (equal values share a rank), the values ascending, and each
-    value's number of sequences: a partition of ``m`` parts, ``mult_j`` of
-    them equal to ``j``, labels ``ns!/((ns-m)! prod mult_j!)`` count vectors
-    of ``length!/prod p_i!`` sequences each.  Each value comes from the
-    canonical scalar, once per class, so independently built orderings sort
-    on bit-identical keys.
+    value's number of sequences.  One walk (:func:`_classes`) lists the
+    classes and carries each one's number of sequences down its parts, one
+    multiply and one divide per part, so no factorial of the length is
+    taken.  Each value comes from the canonical scalar, once per class, so
+    independently built orderings sort on bit-identical keys.
     """
     value_of, sizes = {}, {}
-    for part in _partitions(length, ns, length):
-        value = value_of[part[::-1]] = info_from_sorted_counts(part[::-1])
-        labelings = math.perm(ns, len(part)) // math.prod(map(math.factorial, map(part.count, set(part))))
-        sequences = math.factorial(length) // math.prod(map(math.factorial, part))
-        sizes[value] = sizes.get(value, 0) + labelings * sequences
+    for counts, sequences in _classes(length, ns, length, 1, 0, ()):
+        value = value_of[counts] = info_from_sorted_counts(counts)
+        sizes[value] = sizes.get(value, 0) + sequences
     values = sorted(sizes)
     rank = {value: r for r, value in enumerate(values)}
     return {c: rank[value] for c, value in value_of.items()}, values, [sizes[value] for value in values]

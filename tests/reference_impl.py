@@ -26,6 +26,54 @@ def ref_type_class_info(seq, ns):
     return ref_info_sorted_counts(key)
 
 
+def _ref_partitions(total, parts, largest):
+    """The partitions of ``total`` into at most ``parts`` parts of at most ``largest``, parts descending."""
+    if total == 0:
+        yield ()
+        return
+    if parts == 0:
+        return
+    for first in range(min(total, largest), 0, -1):
+        for rest in _ref_partitions(total - first, parts - 1, first):
+            yield (first, *rest)
+
+
+def ref_info_left_to_right(counts):
+    """:func:`ref_info_sorted_counts` with its terms added left to right from 0.0.
+
+    ``sum`` of floats is compensated from Python 3.12 on; this is the
+    addition order of the package's canonical scalar, so the bits agree on
+    every interpreter.
+    """
+    total = sum(counts)
+    terms = 0.0
+    for c in counts:
+        if c:
+            terms += c * math.log2(c)
+    return total * math.log2(total) - terms
+
+
+def ref_type_classes(ns, length):
+    """The type classes of the length-``length`` sequences, ranked by value, by factorials.
+
+    Each class's rank among the distinct values, keyed by its counts
+    ascending (in the order :func:`_ref_partitions` lists them), the values
+    ascending, and each value's number of sequences: a partition of ``m``
+    parts, ``mult_j`` of them equal to ``j``, labels
+    ``ns!/((ns-m)! prod mult_j!)`` count vectors of ``length!/prod p_i!``
+    sequences each.
+    """
+    value_of, sizes = {}, {}
+    for part in _ref_partitions(length, ns, length):
+        value = value_of[part[::-1]] = ref_info_left_to_right(part[::-1])
+        labelings = math.perm(ns, len(part)) // math.prod(map(math.factorial, map(part.count, set(part))))
+        sequences = math.factorial(length) // math.prod(map(math.factorial, part))
+        sizes[value] = sizes.get(value, 0) + labelings * sequences
+    values = sorted(sizes)
+    rank = {value: r for r, value in enumerate(values)}
+    return {c: rank[value] for c, value in value_of.items()}, values, [sizes[value] for value in values]
+
+
 def ref_sorted_space(ns, length):
     """All sequences ordered by (type-class info, lexicographic)."""
     seqs = list(itertools.product(range(ns), repeat=length))

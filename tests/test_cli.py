@@ -144,6 +144,19 @@ class TestOracle:
                      "--max-space", "99999999999999999999999"]) == 2
         assert "int64 lex-index limit" in capsys.readouterr().err
 
+    # the report's space check refuses the bound itself, as a run's config
+    # does, before the space it is compared with
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--ns", "3", "--len", "11", "--max-space", "0"],
+        ["oracle", "--ns", "4", "--len", "10000", "--max-space", "-3"],
+        ["run", "--ns", "3", "--len", "11", "--pmax", "0.5", "--trials", "2", "--strategy", "exact-sorted", "--max-space", "1"],
+    ], ids=["oracle", "oracle-huge", "run"])
+    def test_bound_below_2_exit_2_with_one_line(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_space (the largest space tabulated or reported) must be >= 2\n"
+
     @pytest.mark.parametrize("length", ["3000", "10000"])
     def test_huge_space_exit_2_with_one_short_line(self, capsys, length):
         start = time.perf_counter()

@@ -24,6 +24,7 @@ from seqshape import (
     transform_exact_sorted,
     validate_strategy,
 )
+from seqshape.cli import main
 
 from conftest import built_info, seq
 from reference_impl import ref_oracle_report, ref_sorted_space
@@ -42,6 +43,9 @@ ORACLE_3_4_1_HEX = ("0x1.2117ae51edf64p+2", "0x1.0daecf403c382p+2", "0x1.368df11
 # value and summing with math.fsum (the benchmark's small-space pin, and the
 # largest binary space the enumeration bound admits)
 ORACLE_3_11_1_HEX = ("0x1.fbb95f1994866p+3", "0x1.f8bd21b884590p+3", "0x1.7e1eb08816b00p-4", "0x1.f163c76141715p-2")
+# the same four fields at (8, 7): eight labels per class, and a target space
+# of 8^8 = 2^24 sequences, exactly the default bound
+ORACLE_8_7_1_HEX = ("0x1.e0a00e8d70db0p+3", "0x1.bdb676f626bc4p+3", "0x1.174cbcba50f60p+0", "0x1.a89b800000000p-1")
 ORACLE_2_23_1_HEX = ("0x1.6430e11662d6cp+4", "0x1.6a308ced20207p+4", "-0x1.7feaf5af526c0p-2", "0x1.2205000000000p-3")
 
 
@@ -214,6 +218,15 @@ class TestOracleReport:
 
     def test_frozen_bits_benchmark_pin(self):
         assert report_hex(oracle_report(3, 11, 1)) == ORACLE_3_11_1_HEX
+
+    def test_frozen_bits_at_the_default_bound(self, capsys):
+        assert report_hex(oracle_report(8, 7, 1)) == ORACLE_8_7_1_HEX
+        assert main(["oracle", "--ns", "8", "--len", "7"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        fields = ("avg_source_info", "avg_shaped_info", "optimal_gain", "success_fraction")
+        assert tuple(float(payload[field]).hex() for field in fields) == ORACLE_8_7_1_HEX
+        with pytest.raises(SpaceTooLargeError, match=r"^8\^8 = 16777216 sequences exceed max_space 16777215, "):
+            oracle_report(8, 7, 1, max_space=(1 << 24) - 1)
 
     def test_frozen_bits_without_enumerating(self, monkeypatch):
         def no_enumeration(*args):

@@ -32,7 +32,8 @@ from seqshape import (
 from seqshape import shaping
 
 from conftest import built_info, materialised, seq
-from reference_impl import ref_exact_sorted_map, ref_inverse_adaptive, ref_transform_adaptive
+import reference_impl
+from reference_impl import ref_exact_sorted_map, ref_inverse_adaptive, ref_transform_adaptive, ref_type_classes
 
 
 def random_sequences(max_ns=64, max_len=200):
@@ -770,6 +771,76 @@ class TestKeyRanks:
         assert shaping._key_ranks([0], 1, {(1,): 0}) == [0]
 
 
+def partition_counts(ns, longest):
+    """The partitions of each length up to ``longest`` into at most ``ns`` parts, counted as those into parts of at most ``ns``."""
+    ways = [1] + [0] * longest
+    for part in range(1, ns + 1):
+        for total in range(part, longest + 1):
+            ways[total] += ways[total - part]
+    return ways
+
+
+def longest_cheap_length(ns):
+    """The longest length up to 60 with at most 20,000 classes at ``ns``: the walk and the reference each take under a second."""
+    return max(length for length, classes in enumerate(partition_counts(ns, 60)) if classes <= 20_000)
+
+
+def assert_classes_match_the_reference(ns, length):
+    class_rank, values, sizes = shaping._type_classes(ns, length)
+    ref_rank, ref_values, ref_sizes = ref_type_classes(ns, length)
+    # the same classes in the same order, the same value bits and the same counts
+    assert list(class_rank.items()) == list(ref_rank.items())
+    assert [v.hex() for v in values] == [v.hex() for v in ref_values]
+    assert sizes == ref_sizes
+    assert len(class_rank) == partition_counts(ns, length)[length]
+
+
+def walk_calls(monkeypatch, module, name):
+    """Wrap a recursive generator of ``module`` so each call's number of yields is appended to the list returned."""
+    walk, yields = getattr(module, name), []
+
+    def counted(*args):
+        made = 0
+        for item in walk(*args):
+            made += 1
+            yield item
+        yields.append(made)
+
+    monkeypatch.setattr(module, name, counted)
+    return yields
+
+
+class TestTypeClasses:
+    @pytest.mark.parametrize("ns,length", [(3, 40), (4, 100), (8, 30), (60, 12), (256, 3), (4096, 2), (2, 2000)])
+    def test_match_the_factorial_reference(self, ns, length):
+        assert_classes_match_the_reference(ns, length)
+
+    @settings(max_examples=40)
+    @given(st.integers(2, 64).flatmap(lambda ns: st.tuples(st.just(ns), st.integers(1, longest_cheap_length(ns)))))
+    def test_match_the_factorial_reference_up_to_64_symbols_and_length_60(self, shape):
+        assert_classes_match_the_reference(*shape)
+
+    # far past the bound, with exact big-integer counts; the reference's
+    # factorials of the length take seconds to minutes here
+    @pytest.mark.parametrize("ns,length,classes", [(3, 1000, 83_834), (2, 20_000, 10_001)])
+    def test_counts_sum_to_the_space_far_past_the_bound(self, ns, length, classes):
+        class_rank, _, sizes = shaping._type_classes(ns, length)
+        assert len(class_rank) == classes
+        assert sum(sizes) == ns**length
+
+    # the reference's walk tries every first part and dead-ends where the
+    # rest cannot fit; the pruned walk never does, and lists a class's last
+    # part without a call of its own
+    @pytest.mark.parametrize("ns,length,calls,reference_calls", [(3, 12, 21, 102), (4, 10, 29, 94), (2, 20, 11, 121)])
+    def test_walk_calls_each_yield_a_class(self, monkeypatch, ns, length, calls, reference_calls):
+        yields = walk_calls(monkeypatch, shaping, "_classes")
+        reference_yields = walk_calls(monkeypatch, reference_impl, "_ref_partitions")
+        classes = len(shaping._type_classes(ns, length)[0])
+        assert len(ref_type_classes(ns, length)[0]) == classes
+        assert len(yields) == calls and min(yields) >= 1 and max(yields) == classes
+        assert len(reference_yields) == reference_calls and min(reference_yields) == 0
+
+
 class TestDispatchAndConfig:
     def test_strategy_dispatch(self):
         s = seq([2, 2], 3)
@@ -829,6 +900,27 @@ class TestDispatchAndConfig:
     def test_non_integer_inputs_rejected(self, build, message):
         with pytest.raises(TypeError, match=message):
             build()
+
+    BOUND_BELOW_2 = r"^max_space \(the largest space tabulated or reported\) must be >= 2$"
+
+    # the shared space check refuses a bound below 2 as the config does,
+    # whatever the space; the smallest space, 2^1, fits a bound of 2
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: oracle_report(3, 11, 1, max_space=-3),
+            lambda: oracle_report(4, 10000, 1, max_space=0),
+            lambda: space_descriptor(2, 1, max_space=1),
+            lambda: transform_exact_sorted(seq([1], 2), 1, 1),
+            lambda: inverse_exact_sorted(seq([0, 1], 2), 1, np.int64(0)),
+        ],
+        ids=["oracle", "oracle-huge", "descriptor", "transform", "inverse"],
+    )
+    def test_bound_below_2_rejected(self, build):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=self.BOUND_BELOW_2):
+                build()
+        assert space_descriptor(2, 1, max_space=2).size == 2
 
 
 class TestShapeAndMeasure:
